@@ -17,10 +17,12 @@
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  chain gate: the chain failover e2e under -race plus
 #                     the established-chain zero-allocation check
+#   make perfbench-check  vet and self-test the perfbench module, which
+#                     ./... never reaches (it is a module of its own)
 
 GO ?= go
 
-.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke
+.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -58,7 +60,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-check: fmt vet test race
+check: fmt vet test race perfbench-check
 
 bench:
 	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound' -benchmem ./...
@@ -75,3 +77,9 @@ trace-smoke:
 bench-smoke:
 	$(GO) test -race -run TestChainFailoverEndToEnd .
 	$(GO) test -run TestChainSpliceAllocs ./internal/chain/
+
+# perfbench/ is a separate Go module (it replaces cronets with ../), so
+# go build ./..., vet and test above never compile it: an API change
+# could break the benchmark with every other gate green.
+perfbench-check:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...

@@ -65,7 +65,10 @@ func TestChainFailoverEndToEnd(t *testing.T) {
 	// through an impaired access link (netemB) — B's bottleneck is its
 	// ingress.
 	relayBLn := mustListenCP(t)
-	relayB := relay.New(relayBLn, relay.Config{})
+	// Each relay counts into a registry of its own, so the test can tell
+	// which of them a flow crossed.
+	regA, regB := obs.NewRegistry(), obs.NewRegistry()
+	relayB := relay.New(relayBLn, relay.Config{Obs: regB})
 	go relayB.Serve() //nolint:errcheck
 	defer relayB.Close()
 
@@ -101,6 +104,7 @@ func TestChainFailoverEndToEnd(t *testing.T) {
 	// relay B's address, so A reaching "netemB" hops the backbone link.
 	relayALn := mustListenCP(t)
 	relayA := relay.New(relayALn, relay.Config{
+		Obs: regA,
 		Dialer: &rewriteDialer{rewrite: map[string]string{
 			destAddr:                 netemADLn.Addr().String(),
 			netemBLn.Addr().String(): netemABLn.Addr().String(),
@@ -229,9 +233,10 @@ func TestChainFailoverEndToEnd(t *testing.T) {
 	if !bytes.Equal(payload, got) {
 		t.Fatal("payload corrupted crossing the 2-hop chain")
 	}
-	if relayA.Stats().Accepted.Load() == 0 || relayB.Stats().Accepted.Load() == 0 {
-		t.Fatalf("chain flow bypassed a relay: A accepted %d, B accepted %d",
-			relayA.Stats().Accepted.Load(), relayB.Stats().Accepted.Load())
+	acceptedA := regA.Counter("cronets_relay_accepted_total", "").Value()
+	acceptedB := regB.Counter("cronets_relay_accepted_total", "").Value()
+	if acceptedA == 0 || acceptedB == 0 {
+		t.Fatalf("chain flow bypassed a relay: A accepted %d, B accepted %d", acceptedA, acceptedB)
 	}
 
 	// The switch is visible to operators: the chain dial counter in

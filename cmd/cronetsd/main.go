@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"expvar"
 	"flag"
 	"fmt"
@@ -42,6 +43,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -180,7 +182,7 @@ func runRelay(o options) error {
 			for {
 				select {
 				case <-t.C:
-					logRelayStats(r, "stats")
+					logStats(slog.Default(), reg, nil, "stats")
 				case <-stopSummary:
 					return
 				}
@@ -197,7 +199,7 @@ func runRelay(o options) error {
 	case s := <-sig:
 		close(stopSummary)
 		slog.Info("cronetsd shutting down", "signal", s.String())
-		logRelayStats(r, "final stats")
+		logStats(slog.Default(), reg, nil, "final stats")
 		return r.Close()
 	case err := <-done:
 		close(stopSummary)
@@ -293,7 +295,7 @@ func runGateway(o options) error {
 			for {
 				select {
 				case <-t.C:
-					logGatewayStats(gw, mon, "stats")
+					logStats(slog.Default(), reg, mon, "stats")
 				case <-stopSummary:
 					return
 				}
@@ -310,7 +312,7 @@ func runGateway(o options) error {
 	case s := <-sig:
 		close(stopSummary)
 		slog.Info("cronetsd shutting down", "signal", s.String())
-		logGatewayStats(gw, mon, "final stats")
+		logStats(slog.Default(), reg, mon, "final stats")
 		return gw.Close()
 	case err := <-done:
 		close(stopSummary)
@@ -318,43 +320,32 @@ func runGateway(o options) error {
 	}
 }
 
-// logRelayStats emits one slog summary line from the relay's counters.
-func logRelayStats(r *relay.Relay, msg string) {
-	st := r.Stats()
-	slog.Info(msg,
-		"accepted", st.Accepted.Load(),
-		"active", st.Active.Load(),
-		"bytes_up", st.BytesUp.Load(),
-		"bytes_down", st.BytesDown.Load(),
-		"errors", st.Errors.Load(),
-		"rejected", st.Rejected.Load(),
-		"overloaded", st.Overloaded.Load(),
-		"dial_retries", st.DialRetries.Load(),
-	)
-}
-
-// logGatewayStats emits one slog summary line from the gateway's counters
-// plus the current best path.
-func logGatewayStats(gw *gateway.Gateway, mon *pathmon.Monitor, msg string) {
-	st := gw.Stats()
-	best, chosen := mon.Best()
-	bestName := "(none)"
-	if chosen {
-		bestName = best.String()
+// logStats emits one slog summary line holding every counter and gauge
+// in the registry, sorted by name — the same readings /metrics serves,
+// so the two cannot drift. A non-nil mon (gateway mode) adds the
+// committed best path.
+func logStats(log *slog.Logger, reg *obs.Registry, mon *pathmon.Monitor, msg string) {
+	snap := reg.Snapshot()
+	names := make([]string, 0, len(snap))
+	for name, v := range snap {
+		if _, ok := v.(int64); ok {
+			names = append(names, name)
+		}
 	}
-	slog.Info(msg,
-		"best_path", bestName,
-		"accepted", st.Accepted.Load(),
-		"active", st.Active.Load(),
-		"dials_direct", st.DialsDirect.Load(),
-		"dials_relay_pooled", st.DialsRelayPooled.Load(),
-		"dials_relay_cold", st.DialsRelayCold.Load(),
-		"dials_chain", st.DialsChain.Load(),
-		"fallbacks", st.Fallbacks.Load(),
-		"dial_failures", st.DialFailures.Load(),
-		"bytes_up", st.BytesUp.Load(),
-		"bytes_down", st.BytesDown.Load(),
-	)
+	sort.Strings(names)
+	attrs := make([]slog.Attr, 0, len(names)+1)
+	if mon != nil {
+		best, chosen := mon.Best()
+		bestName := "(none)"
+		if chosen {
+			bestName = best.String()
+		}
+		attrs = append(attrs, slog.String("best_path", bestName))
+	}
+	for _, name := range names {
+		attrs = append(attrs, slog.Int64(name, snap[name].(int64)))
+	}
+	log.LogAttrs(context.Background(), slog.LevelInfo, msg, attrs...)
 }
 
 // newTracer builds the node's flow tracer, or nil when tracing is off

@@ -147,8 +147,8 @@ func TestWarmPoolEndToEnd(t *testing.T) {
 	if pooled >= cold-handshakeRTT/2 {
 		t.Fatalf("pooled dial (%v) did not eliminate the handshake RTT vs cold (%v)", pooled, cold)
 	}
-	if got := gwPooled.Stats().DialsRelayPooled.Load(); got != 3 {
-		t.Fatalf("DialsRelayPooled = %d, want 3", got)
+	if got := reg.Counter(obs.Label("cronets_gateway_dials_total", "path", "relay_pooled"), "").Value(); got != 3 {
+		t.Fatalf("pooled relay dials = %d, want 3", got)
 	}
 	if got := reg.Counter("cronets_connpool_hits_total", "").Value(); got < 3 {
 		t.Fatalf("cronets_connpool_hits_total = %d, want >= 3", got)

@@ -76,13 +76,14 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 	// 3-relay fleet, each behind its own netem link (10/12/15 ms one-way
 	// — all worse than the healthy direct path, the best being relay 0).
 	var fleet []string
-	var relays []*relay.Relay
+	// The relays share one registry, as relays hosted in one process
+	// would, so their counters sum.
+	relayReg := obs.NewRegistry()
 	for _, oneWay := range []time.Duration{10 * time.Millisecond, 12 * time.Millisecond, 15 * time.Millisecond} {
 		relayLn := mustListenCP(t)
-		rl := relay.New(relayLn, relay.Config{})
+		rl := relay.New(relayLn, relay.Config{Obs: relayReg})
 		go rl.Serve() //nolint:errcheck
 		defer rl.Close()
-		relays = append(relays, rl)
 
 		linkLn := mustListenCP(t)
 		link := netem.New(linkLn, relayLn.Addr().String(), netem.Config{
@@ -174,7 +175,8 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 	}
 
 	// The gateway's next connection must ride the relay.
-	acceptedBefore := totalAccepted(relays)
+	relayAccepted := relayReg.Counter("cronets_relay_accepted_total", "")
+	acceptedBefore := relayAccepted.Value()
 	conn, path, err = gw.Dial(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +188,7 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 		t.Fatalf("probe over relay path: %v", err)
 	}
 	_ = conn.Close()
-	if totalAccepted(relays) <= acceptedBefore {
+	if relayAccepted.Value() <= acceptedBefore {
 		t.Fatal("no relay accepted the post-degradation connection")
 	}
 
@@ -219,14 +221,6 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-func totalAccepted(relays []*relay.Relay) int64 {
-	var n int64
-	for _, rl := range relays {
-		n += rl.Stats().Accepted.Load()
-	}
-	return n
 }
 
 // metricsCounterAtLeast reports whether the Prometheus-text exposition

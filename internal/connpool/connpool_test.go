@@ -276,6 +276,10 @@ func TestConcurrentCheckout(t *testing.T) {
 		FillInterval: time.Hour, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), size)
+	// Refuse new dials: every miss kicks the filler, and a refill landing
+	// mid-burst would hand out conns beyond the warm set. The warm conns
+	// already accepted stay open.
+	_ = srv.ln.Close()
 
 	// 4x more checkouts than warm conns, all at once: every warm conn is
 	// handed out exactly once (no double-checkout), the rest miss.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/obs"
 	"cronets/internal/pathmon"
 )
 
@@ -35,7 +36,7 @@ func (d *delayDialer) DialContext(ctx context.Context, network, addr string) (ne
 func newBenchGateway(b *testing.B, poolSize int) (*Gateway, string) {
 	b.Helper()
 	dest := echoServer(b).String()
-	rl := liveRelay(b)
+	rl := liveRelay(b, nil)
 	relayAddr := rl.Addr().String()
 
 	mon, err := pathmon.New(pathmon.Config{Dest: dest, Fleet: []string{relayAddr}})
@@ -51,6 +52,7 @@ func newBenchGateway(b *testing.B, poolSize int) (*Gateway, string) {
 		Dialer:           &delayDialer{delay: benchHandshakeRTT},
 		PoolSize:         poolSize,
 		PoolFillInterval: time.Hour, // warm-up is explicit via Fill
+		Obs:              obs.NewRegistry(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -86,7 +88,7 @@ func BenchmarkGatewayDialPooled(b *testing.B) {
 		b.StartTimer()
 	}
 	b.StopTimer()
-	if cold := g.Stats().DialsRelayCold.Load(); cold != 0 {
+	if cold := metric(g.cfg.Obs, `cronets_gateway_dials_total{path="relay_cold"}`); cold != 0 {
 		b.Fatalf("%d dials fell back to cold; benchmark did not measure the pooled path", cold)
 	}
 }

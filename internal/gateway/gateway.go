@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cronets/internal/chain"
@@ -99,44 +98,22 @@ type Config struct {
 	Tracer *flowtrace.Tracer
 }
 
-// Stats are cumulative gateway counters, safe to read concurrently.
-type Stats struct {
-	// Accepted counts downstream connections accepted in listener mode.
-	Accepted atomic.Int64
-	// Active is the number of flows currently being piped.
-	Active atomic.Int64
-	// DialsDirect counts successful direct-path dials.
-	DialsDirect atomic.Int64
-	// DialsRelayPooled and DialsRelayCold split successful relay dials
-	// by whether the connection came from the warm pool or a cold TCP
-	// dial (their sum is the total relay dial count).
-	DialsRelayPooled atomic.Int64
-	DialsRelayCold   atomic.Int64
-	// DialsChain counts successful multi-hop chain dials (the first hop
-	// may still have come from the warm pool; chain dials are not split
-	// pooled/cold).
-	DialsChain atomic.Int64
-	// Fallbacks counts dials that succeeded only on a non-first-choice
-	// path.
-	Fallbacks atomic.Int64
-	// DialFailures counts Dial calls that exhausted every candidate.
-	DialFailures atomic.Int64
-	// AcceptErrors counts transient listener Accept failures survived
-	// with backoff in listener mode.
-	AcceptErrors atomic.Int64
-	// BytesUp and BytesDown count piped bytes in listener mode.
-	BytesUp   atomic.Int64
-	BytesDown atomic.Int64
-}
-
 // Gateway dials (and optionally fronts) a fixed destination over the
 // current best overlay path.
 type Gateway struct {
 	cfg     Config
-	stats   *Stats
 	scope   *obs.Scope
 	flowDur *obs.Histogram
 	pool    *connpool.Pool // nil when pooling is disabled
+
+	// Registry instruments, resolved once by instrument (nil, and so
+	// no-ops, without an Obs registry).
+	accepted, acceptErrors           *obs.Counter
+	dialsDirect, dialsChain          *obs.Counter
+	dialsRelayPooled, dialsRelayCold *obs.Counter
+	fallbacks, dialFailures          *obs.Counter
+	bytesUp, bytesDown               *obs.Counter
+	active                           *obs.Gauge
 
 	mu     sync.Mutex
 	closed bool
@@ -172,7 +149,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:   cfg,
-		stats: &Stats{},
 		conns: make(map[net.Conn]struct{}),
 	}
 	if cfg.PoolSize > 0 && cfg.Monitor != nil {
@@ -199,32 +175,29 @@ func (g *Gateway) instrument(reg *obs.Registry) {
 	g.scope = reg.Scope("gateway")
 	g.flowDur = reg.Histogram("cronets_gateway_flow_duration_seconds",
 		"Wall-clock lifetime of finished listener-mode flows.", obs.LatencyBuckets)
-	reg.CounterFunc("cronets_gateway_accepted_total",
-		"Downstream connections accepted in listener mode.", g.stats.Accepted.Load)
-	reg.GaugeFunc("cronets_gateway_active",
-		"Flows currently being piped.", g.stats.Active.Load)
-	reg.CounterFunc(obs.Label("cronets_gateway_dials_total", "path", "direct"),
-		"Successful destination dials by path kind.", g.stats.DialsDirect.Load)
-	reg.CounterFunc(obs.Label("cronets_gateway_dials_total", "path", "relay_pooled"),
-		"Successful destination dials by path kind.", g.stats.DialsRelayPooled.Load)
-	reg.CounterFunc(obs.Label("cronets_gateway_dials_total", "path", "relay_cold"),
-		"Successful destination dials by path kind.", g.stats.DialsRelayCold.Load)
-	reg.CounterFunc(obs.Label("cronets_gateway_dials_total", "path", "chain"),
-		"Successful destination dials by path kind.", g.stats.DialsChain.Load)
-	reg.CounterFunc("cronets_gateway_fallbacks_total",
-		"Dials that succeeded only on a non-first-choice path.", g.stats.Fallbacks.Load)
-	reg.CounterFunc("cronets_gateway_dial_failures_total",
-		"Dials that exhausted every candidate path.", g.stats.DialFailures.Load)
-	reg.CounterFunc("cronets_gateway_accept_errors_total",
-		"Transient listener accept failures survived with backoff.", g.stats.AcceptErrors.Load)
-	reg.CounterFunc(obs.Label("cronets_gateway_bytes_total", "dir", "up"),
-		"Piped bytes by direction (up = client to destination).", g.stats.BytesUp.Load)
-	reg.CounterFunc(obs.Label("cronets_gateway_bytes_total", "dir", "down"),
-		"Piped bytes by direction (up = client to destination).", g.stats.BytesDown.Load)
+	g.accepted = reg.Counter("cronets_gateway_accepted_total",
+		"Downstream connections accepted in listener mode.")
+	g.active = reg.Gauge("cronets_gateway_active",
+		"Flows currently being piped.")
+	dials := func(path string) *obs.Counter {
+		return reg.Counter(obs.Label("cronets_gateway_dials_total", "path", path),
+			"Successful destination dials by path kind.")
+	}
+	g.dialsDirect = dials("direct")
+	g.dialsRelayPooled = dials("relay_pooled")
+	g.dialsRelayCold = dials("relay_cold")
+	g.dialsChain = dials("chain")
+	g.fallbacks = reg.Counter("cronets_gateway_fallbacks_total",
+		"Dials that succeeded only on a non-first-choice path.")
+	g.dialFailures = reg.Counter("cronets_gateway_dial_failures_total",
+		"Dials that exhausted every candidate path.")
+	g.acceptErrors = reg.Counter("cronets_gateway_accept_errors_total",
+		"Transient listener accept failures survived with backoff.")
+	g.bytesUp = reg.Counter(obs.Label("cronets_gateway_bytes_total", "dir", "up"),
+		"Piped bytes by direction (up = client to destination).")
+	g.bytesDown = reg.Counter(obs.Label("cronets_gateway_bytes_total", "dir", "down"),
+		"Piped bytes by direction (up = client to destination).")
 }
-
-// Stats returns the gateway's counters.
-func (g *Gateway) Stats() *Stats { return g.stats }
 
 // candidates returns the ordered list of routes a dial should try: the
 // hysteresis-committed best route first, then the remaining usable routes
@@ -303,21 +276,21 @@ func (g *Gateway) Dial(ctx context.Context) (net.Conn, pathmon.Route, error) {
 		}
 		detail := p.String()
 		if p.IsDirect() {
-			g.stats.DialsDirect.Add(1)
+			g.dialsDirect.Inc()
 		} else if p.IsChain() {
-			g.stats.DialsChain.Add(1)
+			g.dialsChain.Inc()
 			if pooled {
 				detail += " (pooled)"
 			}
 			g.scope.Event(obs.EventChainDial, detail)
 		} else if pooled {
-			g.stats.DialsRelayPooled.Add(1)
+			g.dialsRelayPooled.Inc()
 			detail += " (pooled)"
 		} else {
-			g.stats.DialsRelayCold.Add(1)
+			g.dialsRelayCold.Inc()
 		}
 		if i > 0 {
-			g.stats.Fallbacks.Add(1)
+			g.fallbacks.Inc()
 			g.scope.Event(obs.EventFallback,
 				fmt.Sprintf("%s after %d failed path(s)", p, i))
 		} else {
@@ -328,7 +301,7 @@ func (g *Gateway) Dial(ctx context.Context) (net.Conn, pathmon.Route, error) {
 		}
 		return conn, p, nil
 	}
-	g.stats.DialFailures.Add(1)
+	g.dialFailures.Inc()
 	if lastErr == nil {
 		lastErr = errors.New("no candidate paths")
 	}
@@ -382,9 +355,8 @@ func (g *Gateway) Serve(ln net.Listener) error {
 	}
 	g.ln = ln
 	g.mu.Unlock()
-	var acceptDelay time.Duration
 	for {
-		down, err := ln.Accept()
+		down, err := pipe.Accept(ln, g.acceptErrors, g.scope.Logger())
 		if err != nil {
 			g.mu.Lock()
 			closed := g.closed
@@ -392,25 +364,9 @@ func (g *Gateway) Serve(ln net.Listener) error {
 			if closed {
 				return ErrGatewayClosed
 			}
-			// Transient accept failures (ECONNABORTED, EMFILE under
-			// load) must not kill the whole gateway: retry with bounded
-			// exponential backoff, net/http.Server-style.
-			if ne, ok := err.(net.Error); ok && ne.Temporary() { //nolint:staticcheck // the net/http.Server accept-retry idiom
-				g.stats.AcceptErrors.Add(1)
-				if acceptDelay == 0 {
-					acceptDelay = 5 * time.Millisecond
-				} else if acceptDelay *= 2; acceptDelay > time.Second {
-					acceptDelay = time.Second
-				}
-				g.scope.Logger().Warn("gateway accept failed, retrying",
-					"err", err, "backoff", acceptDelay.String())
-				time.Sleep(acceptDelay)
-				continue
-			}
 			return fmt.Errorf("gateway: accept: %w", err)
 		}
-		acceptDelay = 0
-		g.stats.Accepted.Add(1)
+		g.accepted.Inc()
 		if !g.track(down) {
 			// Lost the race with Close: the conn is already closed, and
 			// starting a handler would outlive the Close's wg.Wait.
@@ -510,8 +466,8 @@ func (g *Gateway) handle(down net.Conn) {
 		flow.SetDetail(route.String())
 	}
 
-	g.stats.Active.Add(1)
-	defer g.stats.Active.Add(-1)
+	g.active.Add(1)
+	defer g.active.Add(-1)
 
 	// The shared data-plane loop: pooled buffers, live byte counters,
 	// half-close propagation, and the idle timeout a dead peer would
@@ -522,8 +478,8 @@ func (g *Gateway) handle(down net.Conn) {
 		OnIdle: func() {
 			g.scope.Event(obs.EventIdleClose, down.RemoteAddr().String())
 		},
-		CountAToB: &g.stats.BytesUp,
-		CountBToA: &g.stats.BytesDown,
+		CountAToB: g.bytesUp,
+		CountBToA: g.bytesDown,
 	}
 	if flow != nil {
 		// TTFB at the gateway: the first byte the destination sends back

@@ -11,7 +11,6 @@ import (
 	"cronets/internal/measure"
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
-	"cronets/internal/pipe"
 	"cronets/internal/relay"
 )
 
@@ -31,7 +30,7 @@ func echoServer(t testing.TB) net.Addr {
 			}
 			go func() {
 				defer c.Close()
-				_, _ = pipe.CopyMetered(c, c, pipe.CopyOptions{})
+				_, _ = io.Copy(c, c)
 				if tc, ok := c.(*net.TCPConn); ok {
 					_ = tc.CloseWrite()
 				}
@@ -41,21 +40,30 @@ func echoServer(t testing.TB) net.Addr {
 	return ln.Addr()
 }
 
-func liveRelay(t testing.TB) *relay.Relay {
+// liveRelay serves a CONNECT-mode relay counting into reg (nil: no
+// metrics) for the test's lifetime.
+func liveRelay(t testing.TB, reg *obs.Registry) *relay.Relay {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := relay.New(ln, relay.Config{})
+	r := relay.New(ln, relay.Config{Obs: reg})
 	go func() { _ = r.Serve() }()
 	t.Cleanup(func() { _ = r.Close() })
 	return r
 }
 
+// metric reads one series from a registry snapshot — the store /metrics
+// serves — as an int64 (0 when the series does not exist).
+func metric(reg *obs.Registry, name string) int64 {
+	v, _ := reg.Snapshot()[name].(int64)
+	return v
+}
+
 func TestDialDirectWithoutMonitor(t *testing.T) {
 	dest := echoServer(t)
-	g, err := New(Config{Dest: dest.String()})
+	g, err := New(Config{Dest: dest.String(), Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +84,8 @@ func TestDialDirectWithoutMonitor(t *testing.T) {
 	if _, err := io.ReadFull(conn, buf); err != nil || string(buf) != "ping" {
 		t.Fatalf("echo = %q, %v", buf, err)
 	}
-	if g.Stats().DialsDirect.Load() != 1 {
-		t.Fatalf("DialsDirect = %d, want 1", g.Stats().DialsDirect.Load())
+	if got := metric(g.cfg.Obs, `cronets_gateway_dials_total{path="direct"}`); got != 1 {
+		t.Fatalf("direct dials = %d, want 1", got)
 	}
 }
 
@@ -91,7 +99,8 @@ func TestDialFollowsMonitorBestPath(t *testing.T) {
 	defer destSrv.Close()
 	dest := destSrvLn.Addr().String()
 
-	rl := liveRelay(t)
+	relayReg := obs.NewRegistry()
+	rl := liveRelay(t, relayReg)
 	mon, err := pathmon.New(pathmon.Config{
 		Dest:  dest,
 		Fleet: []string{rl.Addr().String()},
@@ -116,7 +125,7 @@ func TestDialFollowsMonitorBestPath(t *testing.T) {
 	if path.IsDirect() {
 		t.Fatal("dialed direct; monitor's best path is the relay")
 	}
-	if got := rl.Stats().Accepted.Load(); got != 1 {
+	if got := metric(relayReg, "cronets_relay_accepted_total"); got != 1 {
 		t.Fatalf("relay accepted %d connections, want 1", got)
 	}
 	// The relayed connection reaches a live measure server: probe it.
@@ -158,8 +167,8 @@ func TestDialFallsBackWhenBestPathDead(t *testing.T) {
 	if !path.IsDirect() {
 		t.Fatalf("fallback path = %v, want direct", path)
 	}
-	if g.Stats().Fallbacks.Load() != 1 {
-		t.Fatalf("Fallbacks = %d, want 1", g.Stats().Fallbacks.Load())
+	if got := metric(reg, "cronets_gateway_fallbacks_total"); got != 1 {
+		t.Fatalf("fallbacks = %d, want 1", got)
 	}
 	var sawFallback bool
 	for _, e := range reg.Events().Snapshot() {
@@ -174,7 +183,8 @@ func TestDialFallsBackWhenBestPathDead(t *testing.T) {
 
 func TestServeListenerMode(t *testing.T) {
 	dest := echoServer(t)
-	g, err := New(Config{Dest: dest.String()})
+	reg := obs.NewRegistry()
+	g, err := New(Config{Dest: dest.String(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +221,15 @@ func TestServeListenerMode(t *testing.T) {
 	if err := <-done; err != ErrGatewayClosed {
 		t.Fatalf("Serve returned %v, want ErrGatewayClosed", err)
 	}
-	st := g.Stats()
-	if st.Accepted.Load() != 1 || st.BytesUp.Load() != int64(len(payload)) {
-		t.Fatalf("stats: accepted=%d bytes_up=%d", st.Accepted.Load(), st.BytesUp.Load())
+	accepted := metric(reg, "cronets_gateway_accepted_total")
+	up := metric(reg, `cronets_gateway_bytes_total{dir="up"}`)
+	if accepted != 1 || up != int64(len(payload)) {
+		t.Fatalf("metrics: accepted=%d bytes_up=%d", accepted, up)
 	}
 }
 
 func TestDialAllPathsDead(t *testing.T) {
-	g, err := New(Config{Dest: "127.0.0.1:1", DialTimeout: time.Second})
+	g, err := New(Config{Dest: "127.0.0.1:1", DialTimeout: time.Second, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +237,8 @@ func TestDialAllPathsDead(t *testing.T) {
 	if _, _, err := g.Dial(context.Background()); err == nil {
 		t.Fatal("Dial succeeded with no live path")
 	}
-	if g.Stats().DialFailures.Load() != 1 {
-		t.Fatalf("DialFailures = %d, want 1", g.Stats().DialFailures.Load())
+	if got := metric(g.cfg.Obs, "cronets_gateway_dial_failures_total"); got != 1 {
+		t.Fatalf("dial failures = %d, want 1", got)
 	}
 }
 
@@ -266,17 +277,17 @@ func TestIdleTimeoutClosesDeadFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for g.Stats().Active.Load() != 0 && time.Now().Before(deadline) {
+	for metric(reg, "cronets_gateway_active") != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := g.Stats().Active.Load(); got != 0 {
-		t.Fatalf("idle flow still active after timeout: Active = %d", got)
+	if got := metric(reg, "cronets_gateway_active"); got != 0 {
+		t.Fatalf("idle flow still active after timeout: active = %d", got)
 	}
 	if g.flowDur.Count() == 0 {
 		t.Error("flow-duration histogram recorded no samples")
 	}
-	if up := g.Stats().BytesUp.Load(); up != 5 {
-		t.Errorf("BytesUp = %d, want 5", up)
+	if up := metric(reg, `cronets_gateway_bytes_total{dir="up"}`); up != 5 {
+		t.Errorf("bytes up = %d, want 5", up)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
@@ -313,7 +324,8 @@ func (f *flakyListener) Accept() (net.Conn, error) {
 // first temporary error returned from Serve and the gateway went dark.
 func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	dest := echoServer(t)
-	g, err := New(Config{Dest: dest.String()})
+	reg := obs.NewRegistry()
+	g, err := New(Config{Dest: dest.String(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +350,8 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	}
 	_ = conn.Close()
 
-	if got := g.Stats().AcceptErrors.Load(); got != bursts {
-		t.Errorf("AcceptErrors = %d, want %d", got, bursts)
+	if got := metric(reg, "cronets_gateway_accept_errors_total"); got != bursts {
+		t.Errorf("accept errors = %d, want %d", got, bursts)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
@@ -415,7 +427,7 @@ func TestTrackAfterCloseClosesConn(t *testing.T) {
 // dial time, and the dial is attributed to the pooled counter.
 func TestDialUsesWarmPool(t *testing.T) {
 	dest := echoServer(t)
-	rl := liveRelay(t)
+	rl := liveRelay(t, nil)
 	mon, err := pathmon.New(pathmon.Config{
 		Dest:  dest.String(),
 		Fleet: []string{rl.Addr().String()},
@@ -431,6 +443,7 @@ func TestDialUsesWarmPool(t *testing.T) {
 		Monitor:          mon,
 		PoolSize:         2,
 		PoolFillInterval: 20 * time.Millisecond,
+		Obs:              obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,11 +468,11 @@ func TestDialUsesWarmPool(t *testing.T) {
 	if path.IsDirect() {
 		t.Fatal("dial went direct; pinned best is the relay")
 	}
-	if got := g.Stats().DialsRelayPooled.Load(); got != 1 {
-		t.Fatalf("DialsRelayPooled = %d, want 1", got)
+	if got := metric(g.cfg.Obs, `cronets_gateway_dials_total{path="relay_pooled"}`); got != 1 {
+		t.Fatalf("pooled relay dials = %d, want 1", got)
 	}
-	if got := g.Stats().DialsRelayCold.Load(); got != 0 {
-		t.Fatalf("DialsRelayCold = %d, want 0", got)
+	if got := metric(g.cfg.Obs, `cronets_gateway_dials_total{path="relay_cold"}`); got != 0 {
+		t.Fatalf("cold relay dials = %d, want 0", got)
 	}
 	// The pooled leg really reaches the destination.
 	if _, err := conn.Write([]byte("warm")); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/obs"
 	"cronets/internal/pipe"
 )
 
@@ -20,7 +21,13 @@ func TestOversizedFrameAllocatesNothing(t *testing.T) {
 	}
 	defer r.Close()
 
-	before := pipe.Stats()
+	poolReg := obs.NewRegistry()
+	pipe.InstrumentPool(poolReg)
+	poolGets := func() int64 {
+		snap := poolReg.Snapshot()
+		return snap["cronets_pipe_pool_hits_total"].(int64) + snap["cronets_pipe_pool_misses_total"].(int64)
+	}
+	before := poolGets()
 	var msBefore runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&msBefore)
@@ -55,8 +62,7 @@ func TestOversizedFrameAllocatesNothing(t *testing.T) {
 		t.Fatal("subflow still open after oversized frame")
 	}
 
-	after := pipe.Stats()
-	if gets := (after.Hits + after.Misses) - (before.Hits + before.Misses); gets != 0 {
+	if gets := poolGets() - before; gets != 0 {
 		t.Errorf("pool served %d Gets for an oversized frame, want 0", gets)
 	}
 	var msAfter runtime.MemStats

@@ -89,8 +89,7 @@ type FaultRule struct {
 // FaultPlan scripts a proxy's faults.
 type FaultPlan struct {
 	// RefuseConns refuses the first N inbound connections: each is
-	// closed at accept, before the upstream dial. Proxy.RefuseNext arms
-	// more at runtime.
+	// closed at accept, before the upstream dial.
 	RefuseConns int
 	// Rules are evaluated per accepted connection.
 	Rules []FaultRule
@@ -171,14 +170,6 @@ func (p *Proxy) armFaults(idx int64, down, up net.Conn) (upRules, downRules, all
 		}
 	}
 	return upRules, downRules, all
-}
-
-// RefuseNext arms the proxy to refuse its next n inbound connections, on
-// top of any remaining FaultPlan.RefuseConns budget.
-func (p *Proxy) RefuseNext(n int) {
-	if n > 0 {
-		p.refuseN.Add(int64(n))
-	}
 }
 
 // tryRefuse consumes one unit of refuse budget, reporting whether the

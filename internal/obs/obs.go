@@ -214,9 +214,11 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — for mirroring counters a component already keeps (e.g.
-// relay.Stats atomics) without touching its hot path. Re-registering
-// replaces the function.
+// time. It is for counts that live outside any one registry — the
+// process-global pipe buffer pool, exposed on every registry that asks —
+// not for components, which count into a Counter they resolve once and
+// so sum correctly when several share a registry. Re-registering
+// replaces the function: the last registration wins.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	if r == nil {
 		return
@@ -225,7 +227,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	e.fn = fn
 }
 
-// GaugeFunc registers a gauge read from fn at scrape time.
+// GaugeFunc registers a gauge read from fn at scrape time — for values
+// computed on demand (a pool's size, goroutine count) rather than kept as
+// a running count. Re-registering replaces the function.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	if r == nil {
 		return

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cronets/internal/obs"
 )
 
 // Dir identifies one direction of a bidirectional splice.
@@ -56,7 +58,7 @@ type Options struct {
 	// CountAToB and CountBToA, if set, are incremented live with every
 	// write in the respective direction, so metrics see bytes as they
 	// move rather than when the flow ends.
-	CountAToB, CountBToA *atomic.Int64
+	CountAToB, CountBToA *obs.Counter
 	// Hook, if set, intercepts every chunk (see Hook).
 	Hook Hook
 	// OnFirstByte, if set, is called once per direction when its first
@@ -185,9 +187,7 @@ func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64
 		}
 		nw, err := dst.Write(p)
 		n += int64(nw)
-		if counter != nil {
-			counter.Add(int64(nw))
-		}
+		counter.Add(int64(nw))
 		return err
 	}
 	awaitingFirst := opts.OnFirstByte != nil
@@ -233,50 +233,6 @@ func firstErr(errs ...error) error {
 		return err
 	}
 	return nil
-}
-
-// CopyOptions configures CopyMetered.
-type CopyOptions struct {
-	// BufferBytes sizes the pooled copy buffer (default
-	// DefaultBufferBytes).
-	BufferBytes int
-	// Count, if set, is incremented live with every write.
-	Count *atomic.Int64
-}
-
-// CopyMetered copies src to dst through a pooled buffer until EOF,
-// returning the bytes written — the one-directional sibling of
-// Bidirectional for metered single-direction paths (sinks, echo servers,
-// drains). Like io.Copy, a clean source EOF is not an error.
-func CopyMetered(dst io.Writer, src io.Reader, opts CopyOptions) (int64, error) {
-	if opts.BufferBytes <= 0 {
-		opts.BufferBytes = DefaultBufferBytes
-	}
-	buf := Get(opts.BufferBytes)
-	defer Put(buf)
-	var n int64
-	for {
-		rn, rerr := src.Read(buf)
-		if rn > 0 {
-			nw, werr := dst.Write(buf[:rn])
-			n += int64(nw)
-			if opts.Count != nil {
-				opts.Count.Add(int64(nw))
-			}
-			if werr != nil {
-				return n, werr
-			}
-			if nw < rn {
-				return n, io.ErrShortWrite
-			}
-		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				return n, nil
-			}
-			return n, rerr
-		}
-	}
 }
 
 // WithReader returns a net.Conn that reads from r but otherwise behaves as

@@ -10,16 +10,32 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cronets/internal/obs"
 )
+
+// poolReg exposes the process-global pool counters the way an operator
+// reads them: through a registry InstrumentPool registered them on.
+var poolReg = func() *obs.Registry {
+	reg := obs.NewRegistry()
+	InstrumentPool(reg)
+	return reg
+}()
+
+// poolCount reads one cronets_pipe_pool_<name>_total counter.
+func poolCount(name string) int64 {
+	v, _ := poolReg.Snapshot()["cronets_pipe_pool_"+name+"_total"].(int64)
+	return v
+}
 
 // gets/returns deltas over a function, for leak accounting.
 func poolDelta(t *testing.T, fn func()) (gets, returns int64) {
 	t.Helper()
-	before := Stats()
+	gets = -poolCount("hits") - poolCount("misses")
+	returns = -poolCount("puts") - poolCount("discards")
 	fn()
-	after := Stats()
-	return (after.Hits + after.Misses) - (before.Hits + before.Misses),
-		(after.Puts + after.Discards) - (before.Puts + before.Discards)
+	return gets + poolCount("hits") + poolCount("misses"),
+		returns + poolCount("puts") + poolCount("discards")
 }
 
 func TestPoolSizeClasses(t *testing.T) {
@@ -40,16 +56,14 @@ func TestPoolSizeClasses(t *testing.T) {
 		Put(b)
 	}
 	// Oversize requests allocate exactly and are discarded on Put.
-	before := Stats()
+	before := poolCount("discards")
 	big := Get(300 << 10)
 	if len(big) != 300<<10 {
 		t.Fatalf("oversize Get: len=%d", len(big))
 	}
 	Put(big)
-	after := Stats()
-	if after.Discards != before.Discards+1 {
-		t.Errorf("oversize Put should discard: discards %d -> %d",
-			before.Discards, after.Discards)
+	if after := poolCount("discards"); after != before+1 {
+		t.Errorf("oversize Put should discard: discards %d -> %d", before, after)
 	}
 }
 
@@ -415,7 +429,7 @@ func TestIdleTimeoutTrafficKeepsAlive(t *testing.T) {
 // and a chunk-splitting hook preserves the byte stream.
 func TestCountersAndHook(t *testing.T) {
 	echo := echoAccept(t)
-	var up, down atomic.Int64
+	var up, down obs.Counter
 	var hookChunks atomic.Int64
 	opts := Options{
 		BufferBytes: 1 << 10,
@@ -457,8 +471,8 @@ func TestCountersAndHook(t *testing.T) {
 		t.Fatalf("Bidirectional: %v", err)
 	}
 	want := int64(len(payload))
-	if up.Load() != want || down.Load() != want {
-		t.Errorf("counters up=%d down=%d, want %d both", up.Load(), down.Load(), want)
+	if up.Value() != want || down.Value() != want {
+		t.Errorf("counters up=%d down=%d, want %d both", up.Value(), down.Value(), want)
 	}
 	if res.AToB != want || res.BToA != want {
 		t.Errorf("result AToB=%d BToA=%d, want %d both", res.AToB, res.BToA, want)
@@ -535,32 +549,6 @@ func TestContextCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("splice did not finish after context cancel")
-	}
-}
-
-// TestCopyMetered: pooled one-directional copy with a live counter, no
-// leaks.
-func TestCopyMetered(t *testing.T) {
-	payload := bytes.Repeat([]byte("metered "), 10000)
-	var count atomic.Int64
-	var dst bytes.Buffer
-	gets, returns := poolDelta(t, func() {
-		n, err := CopyMetered(&dst, bytes.NewReader(payload), CopyOptions{
-			BufferBytes: 2 << 10,
-			Count:       &count,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(len(payload)) || count.Load() != n {
-			t.Errorf("n=%d count=%d, want %d", n, count.Load(), len(payload))
-		}
-	})
-	if !bytes.Equal(dst.Bytes(), payload) {
-		t.Error("CopyMetered corrupted the stream")
-	}
-	if gets != returns {
-		t.Errorf("pool leak: %d gets, %d returns", gets, returns)
 	}
 }
 

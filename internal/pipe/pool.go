@@ -23,8 +23,8 @@ import (
 // class fall through to plain allocation.
 var classSizes = [...]int{4 << 10, 32 << 10, 256 << 10}
 
-// DefaultBufferBytes is the copy-buffer size Bidirectional and CopyMetered
-// use when the caller does not specify one.
+// DefaultBufferBytes is the copy-buffer size Bidirectional uses when the
+// caller does not specify one.
 const DefaultBufferBytes = 32 << 10
 
 var (
@@ -87,31 +87,11 @@ func Put(b []byte) {
 	poolDiscards.Add(1)
 }
 
-// PoolStats is a snapshot of the pool's cumulative counters.
-type PoolStats struct {
-	// Hits and Misses count Get calls served from the pool vs freshly
-	// allocated (misses include oversize requests).
-	Hits, Misses int64
-	// Puts counts buffers returned to a class; Discards counts Put calls
-	// whose buffer matched no class and was dropped for the GC.
-	Puts, Discards int64
-}
-
-// Stats returns the pool's cumulative counters. Gets = Hits + Misses and
-// Returns = Puts + Discards; a leak-free workload drains to
-// Gets == Returns once every buffer is released.
-func Stats() PoolStats {
-	return PoolStats{
-		Hits:     poolHits.Load(),
-		Misses:   poolMisses.Load(),
-		Puts:     poolPuts.Load(),
-		Discards: poolDiscards.Load(),
-	}
-}
-
 // InstrumentPool registers the pool's counters on an obs registry (the
 // pool is process-global, so call this once per exposed registry). A nil
-// registry is a no-op.
+// registry is a no-op. Gets = hits + misses and returns = puts +
+// discards; a leak-free workload drains to Gets == returns once every
+// buffer is released.
 func InstrumentPool(reg *obs.Registry) {
 	reg.CounterFunc("cronets_pipe_pool_hits_total",
 		"Buffer-pool Gets served from a size class.", poolHits.Load)

@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // ACL restricts which targets a CONNECT-mode relay will dial. A CRONets
@@ -15,9 +14,9 @@ import (
 // the relay to the customer's own prefixes and service ports.
 //
 // The zero value permits everything; use NewACL to build a restrictive
-// policy. ACL methods are safe for concurrent use.
+// policy. An ACL is read-only once built, so Allow is safe for concurrent
+// use without locking.
 type ACL struct {
-	mu       sync.RWMutex
 	prefixes []netip.Prefix
 	ports    map[uint16]bool
 	// denyAll is set when a restrictive policy exists (non-empty rules).
@@ -53,8 +52,6 @@ func (a *ACL) Allow(target string) bool {
 	if a == nil {
 		return true
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	if !a.restrictive {
 		return true
 	}
@@ -85,17 +82,4 @@ func (a *ACL) Allow(target string) bool {
 		}
 	}
 	return true
-}
-
-// AddPrefix inserts another allowed CIDR at runtime.
-func (a *ACL) AddPrefix(cidr string) error {
-	p, err := netip.ParsePrefix(cidr)
-	if err != nil {
-		return fmt.Errorf("relay: ACL prefix %q: %w", cidr, err)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.prefixes = append(a.prefixes, p)
-	a.restrictive = true
-	return nil
 }

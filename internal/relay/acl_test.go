@@ -64,25 +64,6 @@ func TestACLPortsOnly(t *testing.T) {
 	}
 }
 
-func TestACLAddPrefix(t *testing.T) {
-	a, err := NewACL([]string{"10.0.0.0/8"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Allow("172.16.0.1:80") {
-		t.Fatal("172.16/12 should be denied initially")
-	}
-	if err := a.AddPrefix("172.16.0.0/12"); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Allow("172.16.0.1:80") {
-		t.Error("172.16/12 should be allowed after AddPrefix")
-	}
-	if err := a.AddPrefix("nope"); err == nil {
-		t.Error("bad prefix should be rejected")
-	}
-}
-
 // TestRelayEnforcesACL: a CONNECT to a forbidden target is refused before
 // any upstream dial.
 func TestRelayEnforcesACL(t *testing.T) {
@@ -101,13 +82,13 @@ func TestRelayEnforcesACL(t *testing.T) {
 	if !strings.Contains(err.Error(), "forbidden") {
 		t.Errorf("err = %v, want forbidden", err)
 	}
-	waitFor(t, func() bool { return r.Stats().Rejected.Load() > 0 })
-	if r.Stats().Rejected.Load() == 0 {
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_rejected_total") > 0 })
+	if metric(r.cfg.Obs, "cronets_relay_rejected_total") == 0 {
 		t.Error("rejected counter not incremented")
 	}
-	if r.Stats().Errors.Load() != 0 {
+	if metric(r.cfg.Obs, "cronets_relay_errors_total") != 0 {
 		t.Errorf("ACL rejection should not count as an error, got Errors=%d",
-			r.Stats().Errors.Load())
+			metric(r.cfg.Obs, "cronets_relay_errors_total"))
 	}
 }
 
@@ -146,12 +127,12 @@ func TestRejectedCounterSeparateFromErrors(t *testing.T) {
 	_ = conn.Close()
 
 	waitFor(t, func() bool {
-		return r.Stats().Rejected.Load() == 1 && r.Stats().Errors.Load() == 1
+		return metric(r.cfg.Obs, "cronets_relay_rejected_total") == 1 && metric(r.cfg.Obs, "cronets_relay_errors_total") == 1
 	})
-	if got := r.Stats().Rejected.Load(); got != 1 {
+	if got := metric(r.cfg.Obs, "cronets_relay_rejected_total"); got != 1 {
 		t.Errorf("Rejected = %d, want 1", got)
 	}
-	if got := r.Stats().Errors.Load(); got != 1 {
+	if got := metric(r.cfg.Obs, "cronets_relay_errors_total"); got != 1 {
 		t.Errorf("Errors = %d, want 1", got)
 	}
 }

@@ -68,37 +68,23 @@ type Config struct {
 	Tracer *flowtrace.Tracer
 }
 
-// Stats are cumulative relay counters, safe to read concurrently.
-type Stats struct {
-	// Accepted counts accepted downstream connections.
-	Accepted atomic.Int64
-	// Active is the number of connections currently being relayed.
-	Active atomic.Int64
-	// BytesUp and BytesDown count relayed bytes (client->target and back).
-	BytesUp   atomic.Int64
-	BytesDown atomic.Int64
-	// Errors counts failed relay attempts (dial failures, broken pipes).
-	Errors atomic.Int64
-	// Rejected counts CONNECT attempts refused by the ACL, kept separate
-	// from Errors so open-relay probing is distinguishable from upstream
-	// trouble.
-	Rejected atomic.Int64
-	// Overloaded counts connections dropped at accept because MaxConns
-	// capacity was exhausted — load shedding, not an error.
-	Overloaded atomic.Int64
-	// DialRetries counts upstream dial attempts retried after a
-	// transient failure.
-	DialRetries atomic.Int64
-}
-
 // Relay is a running overlay relay listening for downstream connections.
 type Relay struct {
-	cfg   Config
-	ln    net.Listener
-	stats *Stats
+	cfg Config
+	ln  net.Listener
 
-	dialLatency *obs.Histogram
-	scope       *obs.Scope
+	// active is the number of connections currently being relayed. It is
+	// the one counter kept outside the registry: its compare-and-swap
+	// enforces MaxConns, so it must exist with or without an Obs.
+	active atomic.Int64
+
+	// Registry instruments, resolved once by instrument (nil, and so
+	// no-ops, without an Obs registry).
+	accepted, acceptErrors, errs, rejected *obs.Counter
+	overloaded, dialRetries                *obs.Counter
+	bytesUp, bytesDown                     *obs.Counter
+	dialLatency                            *obs.Histogram
+	scope                                  *obs.Scope
 
 	// baseCtx is cancelled by Close so handlers parked in dial-retry
 	// backoff (or any other context-aware wait) unblock immediately
@@ -122,8 +108,8 @@ type Relay struct {
 // ErrRelayClosed is returned by Serve after Close.
 var ErrRelayClosed = errors.New("relay: closed")
 
-// errACLRejected marks a CONNECT refusal so Serve can count it in
-// Stats.Rejected rather than Stats.Errors.
+// errACLRejected marks a CONNECT refusal so Serve can count it as
+// rejected rather than as an error.
 var errACLRejected = errors.New("relay: target forbidden by ACL")
 
 // New creates a relay on the listener. Close the relay to release it.
@@ -154,7 +140,6 @@ func New(ln net.Listener, cfg Config) *Relay {
 	r := &Relay{
 		cfg:   cfg,
 		ln:    ln,
-		stats: &Stats{},
 		conns: make(map[net.Conn]struct{}),
 	}
 	r.baseCtx, r.cancelAll = context.WithCancel(context.Background())
@@ -162,41 +147,40 @@ func New(ln net.Listener, cfg Config) *Relay {
 	return r
 }
 
-// instrument wires the relay's counters into an obs registry. All obs
-// calls are nil-safe, so a nil registry disables instrumentation.
+// instrument resolves the relay's registry instruments. All obs calls
+// are nil-safe, so a nil registry disables instrumentation.
 func (r *Relay) instrument(reg *obs.Registry) {
 	r.scope = reg.Scope("relay")
 	r.dialLatency = reg.Histogram("cronets_relay_dial_latency_seconds",
 		"Upstream dial latency of successful dials.", obs.LatencyBuckets)
-	reg.CounterFunc("cronets_relay_accepted_total",
-		"Downstream connections accepted.", r.stats.Accepted.Load)
+	r.accepted = reg.Counter("cronets_relay_accepted_total",
+		"Downstream connections accepted.")
+	r.acceptErrors = reg.Counter("cronets_relay_accept_errors_total",
+		"Transient listener accept failures survived with backoff.")
 	reg.GaugeFunc("cronets_relay_active",
-		"Connections currently being relayed.", r.stats.Active.Load)
-	reg.CounterFunc(obs.Label("cronets_relay_bytes_total", "dir", "up"),
-		"Relayed bytes by direction (up = client to target).", r.stats.BytesUp.Load)
-	reg.CounterFunc(obs.Label("cronets_relay_bytes_total", "dir", "down"),
-		"Relayed bytes by direction (up = client to target).", r.stats.BytesDown.Load)
-	reg.CounterFunc("cronets_relay_errors_total",
-		"Failed relay attempts (dials, broken pipes).", r.stats.Errors.Load)
-	reg.CounterFunc("cronets_relay_rejected_total",
-		"CONNECT attempts refused by the ACL.", r.stats.Rejected.Load)
-	reg.CounterFunc("cronets_relay_overloaded_total",
-		"Connections dropped at accept because MaxConns was reached.", r.stats.Overloaded.Load)
-	reg.CounterFunc("cronets_relay_dial_retries_total",
-		"Upstream dial attempts retried after a transient failure.", r.stats.DialRetries.Load)
+		"Connections currently being relayed.", r.active.Load)
+	r.bytesUp = reg.Counter(obs.Label("cronets_relay_bytes_total", "dir", "up"),
+		"Relayed bytes by direction (up = client to target).")
+	r.bytesDown = reg.Counter(obs.Label("cronets_relay_bytes_total", "dir", "down"),
+		"Relayed bytes by direction (up = client to target).")
+	r.errs = reg.Counter("cronets_relay_errors_total",
+		"Failed relay attempts (dials, broken pipes).")
+	r.rejected = reg.Counter("cronets_relay_rejected_total",
+		"CONNECT attempts refused by the ACL.")
+	r.overloaded = reg.Counter("cronets_relay_overloaded_total",
+		"Connections dropped at accept because MaxConns was reached.")
+	r.dialRetries = reg.Counter("cronets_relay_dial_retries_total",
+		"Upstream dial attempts retried after a transient failure.")
 }
 
 // Addr returns the relay's listen address.
 func (r *Relay) Addr() net.Addr { return r.ln.Addr() }
 
-// Stats returns the relay's counters.
-func (r *Relay) Stats() *Stats { return r.stats }
-
 // Serve accepts and relays connections until Close. It always returns a
 // non-nil error (ErrRelayClosed after a clean shutdown).
 func (r *Relay) Serve() error {
 	for {
-		conn, err := r.ln.Accept()
+		conn, err := pipe.Accept(r.ln, r.acceptErrors, r.scope.Logger())
 		if err != nil {
 			r.mu.Lock()
 			closed := r.closed
@@ -207,7 +191,7 @@ func (r *Relay) Serve() error {
 			return fmt.Errorf("relay: accept: %w", err)
 		}
 		// Reserve capacity atomically at accept time: the handler
-		// goroutine may not have run yet, so checking Active without
+		// goroutine may not have run yet, so checking active without
 		// reserving would let an accept burst sail past the cap.
 		//
 		// CONNECT mode defers the MaxConns reservation until the
@@ -218,25 +202,25 @@ func (r *Relay) Serve() error {
 		if reserved {
 			if !r.reserve() {
 				_ = conn.Close()
-				r.stats.Overloaded.Add(1)
+				r.overloaded.Inc()
 				continue
 			}
 		} else if !r.reservePending() {
 			_ = conn.Close()
-			r.stats.Overloaded.Add(1)
+			r.overloaded.Inc()
 			continue
 		}
 		r.track(conn)
-		r.stats.Accepted.Add(1)
+		r.accepted.Inc()
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
 			defer r.untrack(conn)
 			if err := r.handle(conn, reserved); err != nil {
 				if errors.Is(err, errACLRejected) {
-					r.stats.Rejected.Add(1)
+					r.rejected.Inc()
 				} else {
-					r.stats.Errors.Add(1)
+					r.errs.Inc()
 				}
 			}
 		}()
@@ -262,14 +246,14 @@ func (r *Relay) Close() error {
 }
 
 // reserve claims one unit of MaxConns capacity via compare-and-swap on
-// the Active counter; the handler's deferred decrement releases it.
+// the active count; the handler's deferred decrement releases it.
 func (r *Relay) reserve() bool {
 	for {
-		cur := r.stats.Active.Load()
+		cur := r.active.Load()
 		if cur >= int64(r.cfg.MaxConns) {
 			return false
 		}
-		if r.stats.Active.CompareAndSwap(cur, cur+1) {
+		if r.active.CompareAndSwap(cur, cur+1) {
 			return true
 		}
 	}
@@ -307,14 +291,14 @@ func (r *Relay) untrack(c net.Conn) {
 }
 
 // handle relays one downstream connection. In forward mode the caller
-// has already reserved MaxConns capacity (Stats.Active); in CONNECT mode
+// has already reserved MaxConns capacity (active); in CONNECT mode
 // the caller reserved only a pending slot and the MaxConns reservation
 // happens here, once the preamble arrives — an idle pre-CONNECT socket
 // (a gateway's warm connection pool) does not burn a relay slot.
 func (r *Relay) handle(down net.Conn, reserved bool) error {
 	defer func() {
 		if reserved {
-			r.stats.Active.Add(-1)
+			r.active.Add(-1)
 		}
 	}()
 
@@ -356,7 +340,7 @@ func (r *Relay) handle(down net.Conn, reserved bool) error {
 		// MaxConns slot like any forward-mode connection.
 		if !r.reserve() {
 			_, _ = io.WriteString(down, "ERR overloaded\n")
-			r.stats.Overloaded.Add(1)
+			r.overloaded.Inc()
 			return nil
 		}
 		reserved = true
@@ -465,7 +449,7 @@ func (r *Relay) dialUpstream(ctx context.Context, target string) (net.Conn, erro
 		if attempt >= r.cfg.DialRetries || !transientDialError(err) {
 			return nil, err
 		}
-		r.stats.DialRetries.Add(1)
+		r.dialRetries.Inc()
 		r.scope.Event(obs.EventDialRetry,
 			fmt.Sprintf("%s attempt %d: %v", target, attempt+1, err))
 		wait := backoff + backoffJitter(backoff)
@@ -516,8 +500,8 @@ func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flow
 		OnIdle: func() {
 			r.scope.Event(obs.EventIdleClose, down.RemoteAddr().String())
 		},
-		CountAToB: &r.stats.BytesUp,
-		CountBToA: &r.stats.BytesDown,
+		CountAToB: r.bytesUp,
+		CountBToA: r.bytesDown,
 	}
 	span := r.cfg.Tracer.Continue("relay.splice", tc)
 	if span != nil {
@@ -533,13 +517,6 @@ func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flow
 	span.AddBytes(res.AToB + res.BToA)
 	span.End()
 	return err
-}
-
-// ParseConnect parses a "CONNECT host:port" request line, tolerating
-// (and discarding) a trailing trace-context token.
-func ParseConnect(line string) (string, error) {
-	target, _, err := ParseConnectTrace(line)
-	return target, err
 }
 
 // tracePrefix introduces the optional trace-context token on a CONNECT

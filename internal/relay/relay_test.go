@@ -14,7 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"cronets/internal/pipe"
+	"cronets/internal/flowtrace"
+	"cronets/internal/obs"
 )
 
 // echoServer accepts connections and echoes everything back.
@@ -32,7 +33,7 @@ func echoServer(t *testing.T) net.Listener {
 			}
 			go func() {
 				defer conn.Close()
-				_, _ = pipe.CopyMetered(conn, conn, pipe.CopyOptions{})
+				_, _ = io.Copy(conn, conn)
 			}()
 		}
 	}()
@@ -40,8 +41,13 @@ func echoServer(t *testing.T) net.Listener {
 	return ln
 }
 
+// startRelay serves a relay for the test's lifetime, giving it a registry
+// of its own unless cfg brings one, so its counters are readable.
 func startRelay(t *testing.T, cfg Config) *Relay {
 	t.Helper()
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +98,15 @@ func TestFixedTargetForward(t *testing.T) {
 	if got := roundtrip(t, conn, "through the overlay"); got != "through the overlay" {
 		t.Errorf("echo = %q", got)
 	}
-	if r.Stats().Accepted.Load() != 1 {
-		t.Errorf("accepted = %d", r.Stats().Accepted.Load())
+	if metric(r.cfg.Obs, "cronets_relay_accepted_total") != 1 {
+		t.Errorf("accepted = %d", metric(r.cfg.Obs, "cronets_relay_accepted_total"))
 	}
-	if r.Stats().BytesUp.Load() == 0 || r.Stats().BytesDown.Load() == 0 {
-		t.Error("byte counters not updated")
-	}
+	// Each direction counts its bytes once its write returns, which can
+	// land after the client has read the echo.
+	waitFor(t, func() bool {
+		return metric(r.cfg.Obs, `cronets_relay_bytes_total{dir="up"}`) > 0 &&
+			metric(r.cfg.Obs, `cronets_relay_bytes_total{dir="down"}`) > 0
+	})
 }
 
 func TestConnectMode(t *testing.T) {
@@ -145,33 +154,39 @@ func TestConnectModeDialFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected dial failure via relay")
 	}
-	if r.Stats().Errors.Load() == 0 {
-		t.Error("error counter not incremented")
-	}
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_errors_total") > 0 })
 }
 
-func TestParseConnect(t *testing.T) {
+// TestParseConnectTrace: the CONNECT preamble parser returns the target
+// and, when present and well formed, the propagated trace context; a bad
+// trace token never fails the handshake.
+func TestParseConnectTrace(t *testing.T) {
+	tc := flowtrace.Context{Trace: flowtrace.TraceID{1}, Span: 2, Sampled: true}
 	tests := []struct {
 		line    string
 		want    string
+		wantTC  flowtrace.Context
 		wantErr bool
 	}{
-		{"CONNECT 10.0.0.1:80\n", "10.0.0.1:80", false},
-		{"CONNECT example.com:443", "example.com:443", false},
-		{"CONNECT [::1]:80\n", "[::1]:80", false},
-		{"CONNECT nohost\n", "", true},
-		{"CONNECT :80\n", "", true},
-		{"FETCH 10.0.0.1:80\n", "", true},
-		{"", "", true},
+		{line: "CONNECT 10.0.0.1:80\n", want: "10.0.0.1:80"},
+		{line: "CONNECT example.com:443", want: "example.com:443"},
+		{line: "CONNECT [::1]:80\n", want: "[::1]:80"},
+		{line: "CONNECT 10.0.0.1:80 TP=" + tc.EncodeText() + "\n", want: "10.0.0.1:80", wantTC: tc},
+		{line: "CONNECT 10.0.0.1:80 TP=garbage\n", want: "10.0.0.1:80"},
+		{line: "CONNECT 10.0.0.1:80 extra\n", want: "10.0.0.1:80"},
+		{line: "CONNECT nohost\n", wantErr: true},
+		{line: "CONNECT :80\n", wantErr: true},
+		{line: "FETCH 10.0.0.1:80\n", wantErr: true},
+		{line: "", wantErr: true},
 	}
 	for _, tt := range tests {
-		got, err := ParseConnect(tt.line)
+		got, gotTC, err := ParseConnectTrace(tt.line)
 		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseConnect(%q) err = %v", tt.line, err)
+			t.Errorf("ParseConnectTrace(%q) err = %v", tt.line, err)
 			continue
 		}
-		if got != tt.want {
-			t.Errorf("ParseConnect(%q) = %q, want %q", tt.line, got, tt.want)
+		if got != tt.want || gotTC != tt.wantTC {
+			t.Errorf("ParseConnectTrace(%q) = %q, %+v; want %q, %+v", tt.line, got, gotTC, tt.want, tt.wantTC)
 		}
 	}
 }
@@ -373,10 +388,10 @@ func TestDialRetrySucceeds(t *testing.T) {
 	if got := roundtrip(t, conn, "after restart"); got != "after restart" {
 		t.Errorf("echo = %q", got)
 	}
-	if got := r.Stats().DialRetries.Load(); got != 2 {
+	if got := metric(r.cfg.Obs, "cronets_relay_dial_retries_total"); got != 2 {
 		t.Errorf("dial retries = %d, want 2", got)
 	}
-	if got := r.Stats().Errors.Load(); got != 0 {
+	if got := metric(r.cfg.Obs, "cronets_relay_errors_total"); got != 0 {
 		t.Errorf("errors = %d, want 0 (retries are not errors)", got)
 	}
 }
@@ -401,8 +416,8 @@ func TestDialRetryExhausted(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Error("connection should drop once retries are exhausted")
 	}
-	waitFor(t, func() bool { return r.Stats().Errors.Load() == 1 })
-	if got := r.Stats().DialRetries.Load(); got != 2 {
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_errors_total") == 1 })
+	if got := metric(r.cfg.Obs, "cronets_relay_dial_retries_total"); got != 2 {
 		t.Errorf("dial retries = %d, want 2", got)
 	}
 }
@@ -454,10 +469,10 @@ func holdServer(t *testing.T) net.Listener {
 }
 
 // TestMaxConnsAcceptBurst (regression): a burst of simultaneous connects
-// must never overshoot MaxConns. Pre-fix, Serve checked Stats.Active —
-// which the handler goroutine increments later — so a burst sailed
+// must never overshoot MaxConns. Pre-fix, Serve checked the active count
+// — which the handler goroutine increments later — so a burst sailed
 // through; capacity is now reserved atomically at accept time and the
-// shed connections land in Stats.Overloaded, not Stats.Errors.
+// shed connections count as overloaded, not as errors.
 func TestMaxConnsAcceptBurst(t *testing.T) {
 	const maxConns, burst = 4, 32
 	hold := holdServer(t)
@@ -485,19 +500,18 @@ func TestMaxConnsAcceptBurst(t *testing.T) {
 	}()
 
 	waitFor(t, func() bool {
-		return r.Stats().Accepted.Load()+r.Stats().Overloaded.Load() == burst
+		return metric(r.cfg.Obs, "cronets_relay_accepted_total")+metric(r.cfg.Obs, "cronets_relay_overloaded_total") == burst
 	})
-	st := r.Stats()
-	if got := st.Accepted.Load(); got != maxConns {
+	if got := metric(r.cfg.Obs, "cronets_relay_accepted_total"); got != maxConns {
 		t.Errorf("accepted = %d, want exactly %d (cap overshot)", got, maxConns)
 	}
-	if got := st.Active.Load(); got > maxConns {
+	if got := metric(r.cfg.Obs, "cronets_relay_active"); got > maxConns {
 		t.Errorf("active = %d, want <= %d", got, maxConns)
 	}
-	if got := st.Overloaded.Load(); got != burst-maxConns {
+	if got := metric(r.cfg.Obs, "cronets_relay_overloaded_total"); got != burst-maxConns {
 		t.Errorf("overloaded = %d, want %d", got, burst-maxConns)
 	}
-	if got := st.Errors.Load(); got != 0 {
+	if got := metric(r.cfg.Obs, "cronets_relay_errors_total"); got != 0 {
 		t.Errorf("errors = %d, want 0 (shedding is not an error)", got)
 	}
 }
@@ -522,6 +536,7 @@ func TestDialRetryBackoffAbortsOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(ln, Config{
+		Obs:              obs.NewRegistry(),
 		Dialer:           d,
 		DialRetries:      1000,
 		DialRetryBackoff: 300 * time.Millisecond,
@@ -536,7 +551,7 @@ func TestDialRetryBackoffAbortsOnClose(t *testing.T) {
 	if _, err := io.WriteString(conn, "CONNECT 127.0.0.1:1\n"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return r.Stats().DialRetries.Load() >= 1 })
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_dial_retries_total") >= 1 })
 
 	start := time.Now()
 	if err := r.Close(); err != nil {
@@ -566,13 +581,13 @@ func TestDialRetryAbortsWhenClientHangsUp(t *testing.T) {
 	if _, err := io.WriteString(conn, "CONNECT 127.0.0.1:1\n"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return r.Stats().Active.Load() == 1 })
-	waitFor(t, func() bool { return r.Stats().DialRetries.Load() >= 1 })
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_active") == 1 })
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_dial_retries_total") >= 1 })
 
 	// Hang up. The abort watcher must cancel the dial context and the
 	// handler must release its slot well inside waitFor's 5 s budget.
 	_ = conn.Close()
-	waitFor(t, func() bool { return r.Stats().Active.Load() == 0 })
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_active") == 0 })
 	attempts := d.calls.Load()
 	time.Sleep(50 * time.Millisecond)
 	if got := d.calls.Load(); got != attempts {
@@ -594,7 +609,7 @@ func TestIdlePreconnectDoesNotBurnSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idle.Close()
-	waitFor(t, func() bool { return r.Stats().Accepted.Load() == 1 })
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_accepted_total") == 1 })
 
 	// ...must leave the single MaxConns slot free for a real flow, and
 	// must itself survive past DialTimeout (pre-fix the preamble read
@@ -613,7 +628,7 @@ func TestIdlePreconnectDoesNotBurnSlot(t *testing.T) {
 
 	// The idle socket is still usable: late preamble, same slot dance.
 	_ = conn.Close()
-	waitFor(t, func() bool { return r.Stats().Active.Load() == 0 })
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_active") == 0 })
 	late, err := Connect(ctx, idle, echo.Addr().String())
 	if err != nil {
 		t.Fatalf("late CONNECT on the warm socket: %v", err)
@@ -631,17 +646,17 @@ func TestPreconnectEOFIsNotAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return r.Stats().Accepted.Load() == 1 })
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_accepted_total") == 1 })
 	_ = conn.Close()
 	time.Sleep(50 * time.Millisecond)
-	if got := r.Stats().Errors.Load(); got != 0 {
+	if got := metric(r.cfg.Obs, "cronets_relay_errors_total"); got != 0 {
 		t.Errorf("errors = %d, want 0 (pre-preamble EOF is pool churn)", got)
 	}
 }
 
 // TestConnectModeOverloadAtPreamble: with the MaxConns reservation
 // deferred to preamble arrival, an over-capacity CONNECT is refused with
-// ERR overloaded and counted in Stats.Overloaded.
+// ERR overloaded and counted in cronets_relay_overloaded_total.
 func TestConnectModeOverloadAtPreamble(t *testing.T) {
 	hold := holdServer(t)
 	r := startRelay(t, Config{MaxConns: 1})
@@ -661,10 +676,98 @@ func TestConnectModeOverloadAtPreamble(t *testing.T) {
 	if !strings.Contains(err.Error(), "overloaded") {
 		t.Errorf("err = %v, want ERR overloaded refusal", err)
 	}
-	if got := r.Stats().Overloaded.Load(); got != 1 {
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_overloaded_total") == 1 })
+	if got := metric(r.cfg.Obs, "cronets_relay_overloaded_total"); got != 1 {
 		t.Errorf("overloaded = %d, want 1", got)
 	}
-	if got := r.Stats().Errors.Load(); got != 0 {
+	if got := metric(r.cfg.Obs, "cronets_relay_errors_total"); got != 0 {
 		t.Errorf("errors = %d, want 0 (shedding is not an error)", got)
+	}
+}
+
+// metric reads one series from a registry snapshot — the store /metrics
+// serves — as an int64 (0 when the series does not exist).
+func metric(reg *obs.Registry, name string) int64 {
+	v, _ := reg.Snapshot()[name].(int64)
+	return v
+}
+
+// flakyListener returns one temporary accept error — EMFILE or
+// ECONNABORTED under load — before delegating to the real listener.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+type tempErr struct{}
+
+func (tempErr) Error() string   { return "accept: transient resource exhaustion" }
+func (tempErr) Timeout() bool   { return false }
+func (tempErr) Temporary() bool { return true }
+
+func (f *flakyListener) Accept() (net.Conn, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return nil, tempErr{}
+	}
+	return f.Listener.Accept()
+}
+
+// TestServeSurvivesTemporaryAcceptError (regression): a temporary Accept
+// failure must not stop the relay — Serve backs off, retries, counts it,
+// and relays the connection that arrives next. Pre-fix, Serve returned on
+// the first accept error of any kind and the relay went dark.
+func TestServeSurvivesTemporaryAcceptError(t *testing.T) {
+	echo := echoServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r := New(&flakyListener{Listener: ln}, Config{Target: echo.Addr().String(), Obs: reg})
+	done := make(chan error, 1)
+	go func() { done <- r.Serve() }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if got := roundtrip(t, conn, "after EMFILE"); got != "after EMFILE" {
+		t.Errorf("echo = %q", got)
+	}
+	if got := metric(reg, "cronets_relay_accept_errors_total"); got != 1 {
+		t.Errorf("accept errors = %d, want 1", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != ErrRelayClosed {
+		t.Fatalf("Serve returned %v, want ErrRelayClosed", err)
+	}
+}
+
+// TestRelaysShareRegistry: relays sharing one registry count into the
+// same series. Pre-fix each relay mirrored private counters into the
+// registry through a CounterFunc, re-registration replaced the function,
+// and /metrics reported only the relay constructed last.
+func TestRelaysShareRegistry(t *testing.T) {
+	echo := echoServer(t)
+	reg := obs.NewRegistry()
+	relays := []*Relay{startRelay(t, Config{Obs: reg}), startRelay(t, Config{Obs: reg})}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, r := range relays {
+		conn, err := DialVia(ctx, nil, r.Addr().String(), echo.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := roundtrip(t, conn, "one flow"); got != "one flow" {
+			t.Errorf("echo = %q", got)
+		}
+		_ = conn.Close()
+	}
+	waitFor(t, func() bool { return metric(reg, "cronets_relay_accepted_total") == 2 })
+	if got := metric(reg, "cronets_relay_accepted_total"); got != 2 {
+		t.Errorf("cronets_relay_accepted_total = %d, want 2 (one flow per relay)", got)
 	}
 }

@@ -167,9 +167,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// The relay handler goroutines count bytes after the client closes;
 	// wait until the counters settle.
+	relayUp := reg.Counter(obs.Label("cronets_relay_bytes_total", "dir", "up"), "")
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) &&
-		r.Stats().BytesUp.Load() < uploadBytes {
+	for time.Now().Before(deadline) && relayUp.Value() < uploadBytes {
 		time.Sleep(10 * time.Millisecond)
 	}
 

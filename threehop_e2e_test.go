@@ -49,7 +49,10 @@ func TestThreeHopEndToEnd(t *testing.T) {
 	// reach it only through impaired links — its value shows only at the
 	// end of a chain entered elsewhere.
 	relayCLn := mustListenCP(t)
-	relayC := relay.New(relayCLn, relay.Config{})
+	// Each relay counts into a registry of its own, so the test can tell
+	// which of them a flow crossed.
+	relayRegs := map[string]*obs.Registry{"A": obs.NewRegistry(), "B": obs.NewRegistry(), "C": obs.NewRegistry()}
+	relayC := relay.New(relayCLn, relay.Config{Obs: relayRegs["C"]})
 	go relayC.Serve() //nolint:errcheck
 	defer relayC.Close()
 
@@ -77,6 +80,7 @@ func TestThreeHopEndToEnd(t *testing.T) {
 	// clean direct leg.
 	relayBLn := mustListenCP(t)
 	relayB := relay.New(relayBLn, relay.Config{
+		Obs: relayRegs["B"],
 		Dialer: &rewriteDialer{rewrite: map[string]string{
 			destAddr:                 netemBDLn.Addr().String(),
 			netemCLn.Addr().String(): relayCLn.Addr().String(),
@@ -123,6 +127,7 @@ func TestThreeHopEndToEnd(t *testing.T) {
 	// is the emulated routing table over the fleet's names for B and C.
 	relayALn := mustListenCP(t)
 	relayA := relay.New(relayALn, relay.Config{
+		Obs: relayRegs["A"],
 		Dialer: &rewriteDialer{rewrite: map[string]string{
 			destAddr:                 netemADLn.Addr().String(),
 			netemBLn.Addr().String(): netemABLn.Addr().String(),
@@ -251,8 +256,8 @@ func TestThreeHopEndToEnd(t *testing.T) {
 	if !bytes.Equal(payload, got) {
 		t.Fatal("payload corrupted crossing the 3-hop chain")
 	}
-	for name, rl := range map[string]*relay.Relay{"A": relayA, "B": relayB, "C": relayC} {
-		if rl.Stats().Accepted.Load() == 0 {
+	for name, reg := range relayRegs {
+		if reg.Counter("cronets_relay_accepted_total", "").Value() == 0 {
 			t.Fatalf("chain flow bypassed relay %s", name)
 		}
 	}
