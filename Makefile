@@ -16,7 +16,8 @@
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  chain gate: the chain failover e2e under -race plus
-#                     the established-chain zero-allocation check
+#                     the zero-allocation checks on the established-chain
+#                     splice and on route-table reads (Best + Ranked)
 #   make perfbench-check  vet and self-test the perfbench module, which
 #                     ./... never reaches (it is a module of its own)
 
@@ -71,12 +72,14 @@ trace-smoke:
 	$(GO) test -race -run TestFlowTraceEndToEnd .
 	$(GO) test -run TestUnsampledPathAllocs ./internal/flowtrace/
 
-# Fails if chain dial allocates on the established-flow splice path: once
+# Fails if chain dial allocates on the established-flow splice path (once
 # the hop-by-hop preamble completes, a chained flow must be the same
-# zero-alloc forwarding as a single hop.
+# zero-alloc forwarding as a single hop), or if reading pathmon's published
+# route table allocates (every gateway dial and pool fill reads it).
 bench-smoke:
 	$(GO) test -race -run TestChainFailoverEndToEnd .
 	$(GO) test -run TestChainSpliceAllocs ./internal/chain/
+	$(GO) test -run TestRankedReadAllocs ./internal/pathmon/
 
 # perfbench/ is a separate Go module (it replaces cronets with ../), so
 # go build ./..., vet and test above never compile it: an API change

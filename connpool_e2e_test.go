@@ -38,6 +38,16 @@ func (d *handshakeDelayDialer) DialContext(ctx context.Context, network, addr st
 	return d.Dialer.DialContext(ctx, network, addr)
 }
 
+// staticRanking is a gateway.Ranker that always commits to one route, so
+// a test's gateway choice is deterministic without running probes.
+type staticRanking struct{ route pathmon.Route }
+
+func (s staticRanking) Best() (pathmon.Route, bool)   { return s.route, true }
+func (s staticRanking) Ranked() []pathmon.RouteStatus { return nil }
+func (s staticRanking) Subscribe() (<-chan struct{}, func()) {
+	return make(chan struct{}), func() {}
+}
+
 func TestWarmPoolEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("netem e2e is skipped in -short mode")
@@ -68,16 +78,7 @@ func TestWarmPoolEndToEnd(t *testing.T) {
 	defer link.Close()
 	relayAddr := link.Addr().String()
 
-	mon, err := pathmon.New(pathmon.Config{
-		Dest:  destAddr,
-		Fleet: []string{relayAddr},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.Pin(pathmon.MakeRoute(relayAddr))
-
+	mon := staticRanking{pathmon.MakeRoute(relayAddr)}
 	dialer := &handshakeDelayDialer{delay: handshakeRTT}
 	gwPooled, err := gateway.New(gateway.Config{
 		Dest:             destAddr,

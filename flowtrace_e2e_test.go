@@ -61,19 +61,12 @@ func TestFlowTraceEndToEnd(t *testing.T) {
 	go link.Serve() //nolint:errcheck
 	defer link.Close()
 
-	// An unstarted monitor pinned to the netem-fronted relay path makes
-	// the gateway's choice deterministic: every flow rides
+	// A static ranking naming the netem-fronted relay path makes the
+	// gateway's choice deterministic: every flow rides
 	// gateway -> netem -> relay -> dest.
-	mon, err := pathmon.New(pathmon.Config{Dest: destAddr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.Pin(pathmon.MakeRoute(link.Addr().String()))
-
 	gw, err := gateway.New(gateway.Config{
 		Dest:    destAddr,
-		Monitor: mon,
+		Monitor: staticRanking{pathmon.MakeRoute(link.Addr().String())},
 		Obs:     reg,
 		Tracer:  tracer,
 	})

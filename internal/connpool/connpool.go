@@ -32,10 +32,11 @@ import (
 // Ranker supplies the control-plane view the filler follows. It is
 // satisfied by *pathmon.Monitor; tests substitute synthetic rankings.
 type Ranker interface {
-	// Best returns the committed best route (false before the first
-	// usable round).
+	// Best returns the hysteresis-committed best route (false before the
+	// first usable round).
 	Best() (pathmon.Route, bool)
-	// Ranked returns the current route table sorted best-first.
+	// Ranked returns the current route table sorted best-first. The
+	// rows may be shared with other readers and must not be modified.
 	Ranked() []pathmon.RouteStatus
 	// Subscribe returns a coalesced ranking-change wakeup channel and an
 	// unsubscribe func.

@@ -31,7 +31,7 @@ func (d *delayDialer) DialContext(ctx context.Context, network, addr string) (ne
 	return d.Dialer.DialContext(ctx, network, addr)
 }
 
-// newBenchGateway builds a relay + pinned monitor + gateway whose relay
+// newBenchGateway builds a relay + fixed ranking + gateway whose relay
 // leg costs benchHandshakeRTT to establish. poolSize 0 = pooling off.
 func newBenchGateway(b *testing.B, poolSize int) (*Gateway, string) {
 	b.Helper()
@@ -39,16 +39,9 @@ func newBenchGateway(b *testing.B, poolSize int) (*Gateway, string) {
 	rl := liveRelay(b, nil)
 	relayAddr := rl.Addr().String()
 
-	mon, err := pathmon.New(pathmon.Config{Dest: dest, Fleet: []string{relayAddr}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = mon.Close() })
-	mon.Pin(pathmon.MakeRoute(relayAddr))
-
 	g, err := New(Config{
 		Dest:             dest,
-		Monitor:          mon,
+		Monitor:          &scriptedRanker{best: pathmon.MakeRoute(relayAddr), chosen: true},
 		Dialer:           &delayDialer{delay: benchHandshakeRTT},
 		PoolSize:         poolSize,
 		PoolFillInterval: time.Hour, // warm-up is explicit via Fill

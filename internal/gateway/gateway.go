@@ -24,24 +24,12 @@ import (
 	"cronets/internal/relay"
 )
 
-// Ranker supplies the control-plane route ranking a Gateway follows. It
-// is satisfied by *pathmon.Monitor and by *pathmon.View, so the routing
-// objective is chosen per listener: hand a bulk listener
-// mon.View(pathmon.ObjectiveThroughput) and an interactive listener the
-// monitor itself, and both share one probe budget while committing to
-// their own best routes (the warm pool follows whichever ranking its
-// gateway was given). Tests substitute scripted rankings to exercise the
-// dial fallback ladder without sockets.
-type Ranker interface {
-	// Best returns the hysteresis-committed best route (false before the
-	// first usable round).
-	Best() (pathmon.Route, bool)
-	// Ranked returns the current route table sorted best-first.
-	Ranked() []pathmon.RouteStatus
-	// Subscribe returns a coalesced ranking-change wakeup channel and an
-	// unsubscribe func (the warm pool's filler follows it).
-	Subscribe() (<-chan struct{}, func())
-}
+// Ranker supplies the control-plane route ranking a Gateway follows; it
+// is the warm pool's contract, since the gateway hands it straight to the
+// pool. A *pathmon.View picks the objective per listener: a bulk listener
+// on mon.View(pathmon.ObjectiveThroughput) and an interactive one on the
+// monitor share one probe budget but commit to their own best routes.
+type Ranker = connpool.Ranker
 
 // Config parameterizes a Gateway. Dest is required.
 type Config struct {

@@ -101,15 +101,7 @@ func TestDialFollowsMonitorBestPath(t *testing.T) {
 
 	relayReg := obs.NewRegistry()
 	rl := liveRelay(t, relayReg)
-	mon, err := pathmon.New(pathmon.Config{
-		Dest:  dest,
-		Fleet: []string{rl.Addr().String()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.Pin(pathmon.MakeRoute(rl.Addr().String()))
+	mon := &scriptedRanker{best: pathmon.MakeRoute(rl.Addr().String()), chosen: true}
 
 	g, err := New(Config{Dest: dest, Monitor: mon})
 	if err != nil {
@@ -145,12 +137,7 @@ func TestDialFallsBackWhenBestPathDead(t *testing.T) {
 	dest := destSrvLn.Addr().String()
 
 	deadRelay := "127.0.0.1:1"
-	mon, err := pathmon.New(pathmon.Config{Dest: dest, Fleet: []string{deadRelay}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.Pin(pathmon.MakeRoute(deadRelay))
+	mon := &scriptedRanker{best: pathmon.MakeRoute(deadRelay), chosen: true}
 
 	reg := obs.NewRegistry()
 	g, err := New(Config{Dest: dest, Monitor: mon, DialTimeout: time.Second, Obs: reg})
@@ -368,12 +355,7 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 func TestDialDirectStaysInsideAttemptCap(t *testing.T) {
 	dest := echoServer(t)
 	deadRelay := "127.0.0.1:1"
-	mon, err := pathmon.New(pathmon.Config{Dest: dest.String(), Fleet: []string{deadRelay}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.Pin(pathmon.MakeRoute(deadRelay))
+	mon := &scriptedRanker{best: pathmon.MakeRoute(deadRelay), chosen: true}
 
 	g, err := New(Config{
 		Dest:        dest.String(),
@@ -428,15 +410,7 @@ func TestTrackAfterCloseClosesConn(t *testing.T) {
 func TestDialUsesWarmPool(t *testing.T) {
 	dest := echoServer(t)
 	rl := liveRelay(t, nil)
-	mon, err := pathmon.New(pathmon.Config{
-		Dest:  dest.String(),
-		Fleet: []string{rl.Addr().String()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-	mon.Pin(pathmon.MakeRoute(rl.Addr().String()))
+	mon := &scriptedRanker{best: pathmon.MakeRoute(rl.Addr().String()), chosen: true}
 
 	g, err := New(Config{
 		Dest:             dest.String(),

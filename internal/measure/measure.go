@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -51,10 +52,11 @@ func NewServer(ln net.Listener) *Server {
 // Addr returns the server's listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Serve accepts and handles measurement connections until Close.
+// Serve accepts and handles measurement connections until Close,
+// retrying transient accept failures (pipe.Accept).
 func (s *Server) Serve() error {
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := pipe.Accept(s.ln, nil, slog.Default())
 		if err != nil {
 			s.mu.Lock()
 			closed := s.closed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -157,5 +158,56 @@ func TestThroughputBurstTruncatedIsError(t *testing.T) {
 	}
 	if res.Mbps != 0 {
 		t.Errorf("truncated burst still reported Mbps = %v", res.Mbps)
+	}
+}
+
+// flakyListener returns one temporary accept error — EMFILE or
+// ECONNABORTED under load — before delegating to the real listener.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+type tempErr struct{}
+
+func (tempErr) Error() string   { return "accept: too many open files" }
+func (tempErr) Timeout() bool   { return false }
+func (tempErr) Temporary() bool { return true }
+
+func (f *flakyListener) Accept() (net.Conn, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return nil, tempErr{}
+	}
+	return f.Listener.Accept()
+}
+
+// TestServeSurvivesTemporaryAcceptError (regression): one transient
+// accept failure must not take the probe target down — Serve backs off,
+// retries, and answers the connection that arrives next. Pre-fix, Serve
+// returned on the first accept error of any kind and every later probe
+// round against this server failed.
+func TestServeSurvivesTemporaryAcceptError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(&flakyListener{Listener: ln})
+	done := make(chan error, 1)
+	go func() { done <- s.Serve() }()
+	defer s.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := ProbeRTT(conn, 2); err != nil {
+		select {
+		case serveErr := <-done:
+			t.Fatalf("probe after a temporary accept error: %v (Serve returned %v)", err, serveErr)
+		default:
+			t.Fatalf("probe after a temporary accept error: %v", err)
+		}
 	}
 }

@@ -175,10 +175,11 @@ func (p *Proxy) jitter(max time.Duration) time.Duration {
 // Addr returns the proxy's listen address.
 func (p *Proxy) Addr() net.Addr { return p.ln.Addr() }
 
-// Serve accepts and shapes connections until Close.
+// Serve accepts and shapes connections until Close, retrying transient
+// accept failures (pipe.Accept).
 func (p *Proxy) Serve() error {
 	for {
-		conn, err := p.ln.Accept()
+		conn, err := pipe.Accept(p.ln, nil, p.scope.Logger())
 		if err != nil {
 			p.mu.Lock()
 			closed := p.closed

@@ -3,6 +3,7 @@ package netem
 import (
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -281,5 +282,65 @@ func TestSetImpairmentAffectsInFlightConn(t *testing.T) {
 	)
 	if after := roundTrip(); after < 75*time.Millisecond {
 		t.Errorf("in-flight RTT after degradation = %v, want >= ~80ms", after)
+	}
+}
+
+// flakyListener returns one temporary accept error — EMFILE or
+// ECONNABORTED under load — before delegating to the real listener.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+type tempErr struct{}
+
+func (tempErr) Error() string   { return "accept: too many open files" }
+func (tempErr) Timeout() bool   { return false }
+func (tempErr) Temporary() bool { return true }
+
+func (f *flakyListener) Accept() (net.Conn, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return nil, tempErr{}
+	}
+	return f.Listener.Accept()
+}
+
+// TestServeSurvivesTemporaryAcceptError (regression): one transient
+// accept failure must not cut the emulated link — Serve backs off,
+// retries, and shapes the connection that arrives next. Pre-fix, Serve
+// returned on the first accept error of any kind and the link went dark.
+func TestServeSurvivesTemporaryAcceptError(t *testing.T) {
+	echo := echoServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(&flakyListener{Listener: ln}, echo.Addr().String(), Config{})
+	done := make(chan error, 1)
+	go func() { done <- p.Serve() }()
+	defer p.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	msg := "after EMFILE"
+	buf := make([]byte, len(msg))
+	_, err = io.WriteString(conn, msg)
+	if err == nil {
+		_, err = io.ReadFull(conn, buf)
+	}
+	if err != nil {
+		select {
+		case serveErr := <-done:
+			t.Fatalf("echo after a temporary accept error: %v (Serve returned %v)", err, serveErr)
+		default:
+			t.Fatalf("echo after a temporary accept error: %v", err)
+		}
+	}
+	if string(buf) != msg {
+		t.Errorf("echo = %q, want %q", buf, msg)
 	}
 }

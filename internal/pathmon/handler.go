@@ -41,6 +41,10 @@ type PathRow struct {
 	Fails   int `json:"fails"`
 	// State is "best" (carrying new flows), "up", or "down".
 	State string `json:"state"`
+	// ChallengerStreak is set on the route that beats the incumbent by the
+	// switch margin: how many consecutive rounds it has done so (traffic
+	// moves at SwitchRounds). It answers "why hasn't it switched yet?".
+	ChallengerStreak int `json:"challenger_streak,omitempty"`
 	// LastProbeAgeMs is how long ago the path last answered a probe;
 	// null before the first success.
 	LastProbeAgeMs *float64 `json:"last_probe_age_ms"`
@@ -51,9 +55,9 @@ type PathRow struct {
 func (m *Monitor) PathsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		now := time.Now()
-		ranked := m.Ranked()
-		rows := make([]PathRow, 0, len(ranked))
-		for _, st := range ranked {
+		tab := m.defView.tab.Load()
+		rows := make([]PathRow, 0, len(tab.rows))
+		for _, st := range tab.rows {
 			row := PathRow{
 				Path:     st.Route.String(),
 				Kind:     st.Route.Kind(),
@@ -64,6 +68,9 @@ func (m *Monitor) PathsHandler() http.Handler {
 				Samples:  st.Samples,
 				Fails:    st.Fails,
 				State:    pathStateName(st),
+			}
+			if tab.streak > 0 && st.Route == tab.challenger {
+				row.ChallengerStreak = tab.streak
 			}
 			if !math.IsInf(st.Score, 1) {
 				score := st.Score * 1e3

@@ -22,24 +22,28 @@ func TestPathsHandlerJSON(t *testing.T) {
 		a:      30 * time.Millisecond,
 		b:      -1, // down: its score is +Inf and must render as null
 	}, map[Route]float64{a: 42})
-	m.now = func() time.Time { return now }
 
-	rec := httptest.NewRecorder()
-	m.PathsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/paths", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
+	get := func() (map[string]PathRow, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		m.PathsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/paths", nil))
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type = %q", ct)
+		}
+		var rows []PathRow
+		if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+			t.Fatalf("invalid JSON: %v\n%s", err, rec.Body.String())
+		}
+		byPath := make(map[string]PathRow, len(rows))
+		for _, r := range rows {
+			byPath[r.Path] = r
+		}
+		return byPath, rec.Body.String()
 	}
-	var rows []PathRow
-	if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, rec.Body.String())
-	}
-	byPath := make(map[string]PathRow, len(rows))
-	for _, r := range rows {
-		byPath[r.Path] = r
-	}
+	byPath, body := get()
 	direct, ok := byPath["direct"]
 	if !ok {
-		t.Fatalf("no direct row in %s", rec.Body.String())
+		t.Fatalf("no direct row in %s", body)
 	}
 	if direct.Kind != "direct" || direct.State != "best" || direct.ScoreMs == nil {
 		t.Errorf("direct row = %+v, want kind=direct state=best with a score", direct)
@@ -49,7 +53,7 @@ func TestPathsHandlerJSON(t *testing.T) {
 	}
 	down, ok := byPath[b.String()]
 	if !ok {
-		t.Fatalf("no row for %s in %s", b, rec.Body.String())
+		t.Fatalf("no row for %s in %s", b, body)
 	}
 	if down.State != "down" || down.ScoreMs != nil {
 		t.Errorf("down row = %+v, want state=down with null score", down)
@@ -63,5 +67,29 @@ func TestPathsHandlerJSON(t *testing.T) {
 	}
 	if direct.LastBurstAgeMs != nil {
 		t.Errorf("direct row advertises a burst age without any burst: %+v", direct)
+	}
+	for path, row := range byPath {
+		if row.ChallengerStreak != 0 {
+			t.Errorf("%s has challenger_streak %d with no challenger", path, row.ChallengerStreak)
+		}
+	}
+
+	// The relay now beats direct by the margin: one round absorbs the
+	// variance spike of the step (Alpha=1), the next starts the streak —
+	// one short of the default SwitchRounds=3, so direct still carries
+	// traffic and the relay's row says how far the switch has got.
+	for i := 1; i <= 2; i++ {
+		feedRound(m, now.Add(time.Duration(i)*time.Second), map[Route]time.Duration{
+			Direct: 10 * time.Millisecond,
+			a:      time.Millisecond,
+			b:      -1,
+		}, nil)
+	}
+	byPath, body = get()
+	if got := byPath["direct"]; got.State != "best" || got.ChallengerStreak != 0 {
+		t.Errorf("direct row = %+v, want the incumbent with no streak\n%s", got, body)
+	}
+	if got := byPath[a.String()]; got.State != "up" || got.ChallengerStreak != 1 {
+		t.Errorf("challenger row = %+v, want state=up challenger_streak=1\n%s", got, body)
 	}
 }

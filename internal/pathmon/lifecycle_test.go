@@ -136,7 +136,6 @@ func TestBurstAccounting(t *testing.T) {
 		t.Errorf("burst_failures_total = %d, want 1", got)
 	}
 
-	m.now = func() time.Time { return now.Add(time.Second) }
 	for _, st := range m.Ranked() {
 		switch st.Route {
 		case Direct:

@@ -130,20 +130,6 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// rankView is one objective's independently hysteresis-damped selection
-// state over the shared probe table. The Monitor always has one for its
-// configured objective; View adds more. All fields are guarded by the
-// Monitor's mutex.
-type rankView struct {
-	obj    Objective
-	best   Route
-	chosen bool // a best route has been selected
-	// challenger/streak implement switch hysteresis.
-	challenger    Route
-	streak        int
-	lastRankFirst Route
-}
-
 // Monitor continuously probes the candidate routes and publishes a ranked
 // table plus a hysteresis-damped best route per objective.
 type Monitor struct {
@@ -170,18 +156,17 @@ type Monitor struct {
 	mu     sync.Mutex
 	order  []Route        // stable probe order: direct, then fleet
 	static map[Route]bool // membership set of order
-	chains []Route        // dynamic probe set (beam candidates + pins), rebuilt each round
+	chains []Route        // dynamic probe set (beam candidates + view incumbents), rebuilt each round
 	states map[Route]*pathState
 	// defView is the Config.Objective ranking; views holds it plus every
 	// View-created objective, in creation order.
-	defView   *rankView
-	views     []*rankView
-	viewByObj map[Objective]*rankView
+	defView *View
+	views   []*View
 	// burstCursor round-robins the per-round burst slots across routes.
 	burstCursor int
 	roundsDone  int64
 	// subs are ranking-change subscribers (connection pools, dashboards):
-	// each gets a coalesced wakeup after every integrated round or pin.
+	// each gets a coalesced wakeup after every integrated round.
 	subs map[chan struct{}]struct{}
 
 	startOnce sync.Once
@@ -267,9 +252,6 @@ func New(cfg Config) (*Monitor, error) {
 		runCancel: runCancel,
 		subs:      make(map[chan struct{}]struct{}),
 	}
-	m.defView = &rankView{obj: cfg.Objective}
-	m.views = []*rankView{m.defView}
-	m.viewByObj = map[Objective]*rankView{cfg.Objective: m.defView}
 	m.order = append(m.order, Direct)
 	for _, r := range cfg.Fleet {
 		m.order = append(m.order, MakeRoute(r))
@@ -278,6 +260,7 @@ func New(cfg Config) (*Monitor, error) {
 		m.static[p] = true
 		m.states[p] = &pathState{route: p}
 	}
+	m.defView = m.View(cfg.Objective)
 	m.instrument(cfg.Obs)
 	return m, nil
 }
@@ -306,16 +289,12 @@ func (m *Monitor) instrument(reg *obs.Registry) {
 	reg.GaugeFunc("cronets_pathmon_route_mbps",
 		"Smoothed, staleness-decayed throughput estimate of the current best route, in whole Mbps (0 before any completed burst).",
 		func() int64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			if !m.defView.chosen {
-				return 0
+			for _, st := range m.Ranked() {
+				if st.Best {
+					return int64(math.Round(st.Mbps))
+				}
 			}
-			st := m.states[m.defView.best]
-			if st == nil {
-				return 0
-			}
-			return int64(math.Round(st.effMbps(m.now(), m.burstStaleAfterLocked())))
+			return 0
 		})
 	m.scope = reg.Scope("pathmon")
 }
@@ -521,14 +500,13 @@ func (m *Monitor) burst(ctx context.Context, p Route) (float64, error) {
 	return res.Mbps, nil
 }
 
-// integrate folds one round of probe results into the table and applies
-// the ranking + hysteresis rules to every objective view. Split from the
-// socket layer so tests can feed synthetic series.
+// integrate folds one round of probe results into the table, applies
+// the ranking + hysteresis rules to every objective view, and publishes
+// each view's table after the chain rebuild, so new chains show at once.
+// Split from the socket layer so tests can feed synthetic series.
 func (m *Monitor) integrate(results []probeResult, now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	defer m.notifyLocked()
-	defer m.rebuildChainsLocked(now)
 	m.roundsDone++
 	m.rounds.Inc()
 
@@ -561,11 +539,16 @@ func (m *Monitor) integrate(results []probeResult, now time.Time) {
 	for _, v := range m.views {
 		m.applyRankingLocked(v, now)
 	}
+	m.rebuildChainsLocked(now)
+	for _, v := range m.views {
+		m.publishLocked(v, now)
+	}
+	m.notifyLocked()
 }
 
 // applyRankingLocked runs one view's ranking + hysteresis over the
 // freshly folded table. Caller holds m.mu.
-func (m *Monitor) applyRankingLocked(v *rankView, now time.Time) {
+func (m *Monitor) applyRankingLocked(v *View, now time.Time) {
 	ranked := m.rankForLocked(v, now)
 	if len(ranked) == 0 || ranked[0].Down {
 		// Nothing usable: keep the incumbent (connections may still work
@@ -633,7 +616,7 @@ func rowScore(rows []RouteStatus, r Route) (float64, bool) {
 // stream stays readable when a latency view and a throughput view
 // disagree. The monitor's own (default) view is untagged — single-view
 // deployments read exactly as before. Caller holds m.mu.
-func (m *Monitor) viewTag(v *rankView) string {
+func (m *Monitor) viewTag(v *View) string {
 	if v == m.defView {
 		return ""
 	}
@@ -780,8 +763,7 @@ func (m *Monitor) rebuildChainsLocked(now time.Time) {
 		}
 	}
 	// Never stop probing any view's incumbent or challenger
-	// mid-hysteresis — including pinned routes outside the static set, at
-	// any depth.
+	// mid-hysteresis, at any depth, even once it falls out of candidacy.
 	for _, v := range m.views {
 		for _, keep := range []Route{v.best, v.challenger} {
 			if keep.IsDirect() || m.static[keep] || want[keep] {
@@ -825,7 +807,7 @@ func containsHop(hops []string, relay string) bool {
 }
 
 // commitSwitchLocked moves one view's best route. Caller holds m.mu.
-func (m *Monitor) commitSwitchLocked(v *rankView, to Route, why string) {
+func (m *Monitor) commitSwitchLocked(v *View, to Route, why string) {
 	from := v.best
 	v.best = to
 	v.challenger, v.streak = Route{}, 0
@@ -836,7 +818,7 @@ func (m *Monitor) commitSwitchLocked(v *rankView, to Route, why string) {
 
 // syncBestLocked mirrors the default view's best-route kind into the
 // gauge (secondary views don't own the gauge). Caller holds m.mu.
-func (m *Monitor) syncBestLocked(v *rankView) {
+func (m *Monitor) syncBestLocked(v *View) {
 	if v != m.defView {
 		return
 	}
@@ -850,7 +832,7 @@ func (m *Monitor) syncBestLocked(v *rankView) {
 // rankForLocked builds one view's score-sorted table over every
 // candidate — the static set (direct + fleet) and the current chain
 // candidates — scored by the view's objective. Caller holds m.mu.
-func (m *Monitor) rankForLocked(v *rankView, now time.Time) []RouteStatus {
+func (m *Monitor) rankForLocked(v *View, now time.Time) []RouteStatus {
 	burstStale := m.burstStaleAfterLocked()
 	out := make([]RouteStatus, 0, len(m.order)+len(m.chains))
 	for _, p := range append(append([]Route(nil), m.order...), m.chains...) {
@@ -877,34 +859,12 @@ func (m *Monitor) rankForLocked(v *rankView, now time.Time) []RouteStatus {
 	return out
 }
 
-// Pin forces the best route on every objective view — an operator
-// override (or test hook). Any depth is accepted, including routes
-// outside the current candidate set: a pinned route gets a state and a
-// probe-set slot, and the pin holds until a later round's hysteresis
-// commits a switch away from it, exactly as if the monitor had chosen
-// the route itself.
-func (m *Monitor) Pin(p Route) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, v := range m.views {
-		v.best = p
-		v.chosen = true
-		v.challenger, v.streak = Route{}, 0
-	}
-	if m.states[p] == nil {
-		m.states[p] = &pathState{route: p}
-		m.chains = append(m.chains, p)
-	}
-	m.syncBestLocked(m.defView)
-	m.scope.Event(obs.EventPathSwitch, fmt.Sprintf("pinned %s", p))
-	m.notifyLocked()
-}
-
 // Subscribe registers for ranking-change wakeups: the returned channel
-// receives a (coalesced) notification after every integrated probe round
-// and every Pin. Subscribers re-read Ranked()/Best() themselves — the
-// channel carries no data, so a slow consumer misses nothing but
-// intermediate states. The unsubscribe func releases the registration.
+// receives a (coalesced) notification after every integrated probe round,
+// once the round's tables are published. Subscribers re-read
+// Ranked()/Best() themselves — the channel carries no data, so a slow
+// consumer misses nothing but intermediate states. The unsubscribe func
+// releases the registration.
 func (m *Monitor) Subscribe() (<-chan struct{}, func()) {
 	ch := make(chan struct{}, 1)
 	m.mu.Lock()
@@ -931,26 +891,16 @@ func (m *Monitor) notifyLocked() {
 // Best returns the current best route under the monitor's configured
 // objective and whether one has been selected yet (false until the first
 // round with a usable result).
-func (m *Monitor) Best() (Route, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.defView.best, m.defView.chosen
-}
+func (m *Monitor) Best() (Route, bool) { return m.defView.Best() }
 
-// Ranked returns the current route table sorted best-first under the
-// monitor's configured objective. Down routes sort last (score +Inf).
-func (m *Monitor) Ranked() []RouteStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rankForLocked(m.defView, m.now())
-}
+// Ranked returns the route table sorted best-first under the monitor's
+// configured objective, as published by the last integrated round. Down
+// routes sort last (score +Inf). The rows are shared by every reader and
+// must not be modified.
+func (m *Monitor) Ranked() []RouteStatus { return m.defView.Ranked() }
 
 // Objective returns the monitor's configured (default-view) objective.
-func (m *Monitor) Objective() Objective { return m.cfg.Objective }
+func (m *Monitor) Objective() Objective { return m.defView.Objective() }
 
 // Rounds returns how many probe rounds have been integrated.
-func (m *Monitor) Rounds() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.roundsDone
-}
+func (m *Monitor) Rounds() int64 { return m.defView.tab.Load().round }

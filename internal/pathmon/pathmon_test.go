@@ -201,7 +201,6 @@ func TestStalenessInflatesScore(t *testing.T) {
 	for i := 1; i <= 30; i++ {
 		round(m, now.Add(time.Duration(i)*time.Second), map[Route]time.Duration{Direct: 50 * time.Millisecond})
 	}
-	m.now = func() time.Time { return now.Add(30 * time.Second) }
 	ranked := m.Ranked()
 	if ranked[0].Route != Direct {
 		t.Fatalf("fresh path ranked %v; stale relay still leads: %+v", ranked[0].Route, ranked)
@@ -217,7 +216,6 @@ func TestRankedMarksDownPaths(t *testing.T) {
 	now := time.Unix(1000, 0)
 	round(m, now, map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: -1})
 	round(m, now.Add(time.Second), map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: -1})
-	m.now = func() time.Time { return now.Add(time.Second) }
 	ranked := m.Ranked()
 	if ranked[0].Route != Direct || ranked[0].Down {
 		t.Fatalf("direct should rank first and be up: %+v", ranked)
@@ -296,10 +294,9 @@ func TestLiveProbing(t *testing.T) {
 	}
 }
 
-// TestSubscribeNotifiesOnRoundsAndPin: subscribers get a coalesced wakeup
-// after every integrated round and every Pin, and none after
-// unsubscribing.
-func TestSubscribeNotifiesOnRoundsAndPin(t *testing.T) {
+// TestSubscribeNotifiesOnRounds: subscribers get a coalesced wakeup
+// after every integrated round, and none after unsubscribing.
+func TestSubscribeNotifiesOnRounds(t *testing.T) {
 	m, _ := synthMonitor(t, Config{Fleet: []string{"r1:1"}})
 	ch, unsub := m.Subscribe()
 	now := time.Unix(0, 0)
@@ -330,11 +327,6 @@ func TestSubscribeNotifiesOnRoundsAndPin(t *testing.T) {
 
 	for drain() {
 	}
-	m.Pin(MakeRoute("r1:1"))
-	if !drain() {
-		t.Fatal("no notification after Pin")
-	}
-
 	unsub()
 	round(m, now.Add(3*time.Second), map[Route]time.Duration{Direct: 10 * time.Millisecond})
 	if drain() {

@@ -188,7 +188,6 @@ func TestStaleMbpsDecaysOutOfFirstPlace(t *testing.T) {
 	feedRound(m, now,
 		map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond},
 		map[Route]float64{Direct: 10, relayA: 100})
-	m.now = func() time.Time { return now }
 	if ranked := m.Ranked(); ranked[0].Route != relayA {
 		t.Fatalf("fat relay not first under throughput objective: %+v", ranked)
 	}
@@ -201,7 +200,6 @@ func TestStaleMbpsDecaysOutOfFirstPlace(t *testing.T) {
 		feedRound(m, now.Add(time.Duration(i)*time.Second),
 			map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond},
 			map[Route]float64{Direct: 10})
-		m.now = func() time.Time { return now.Add(time.Duration(i) * time.Second) }
 		if ranked := m.Ranked(); ranked[0].Route == Direct {
 			flipped = i
 			break
@@ -276,10 +274,10 @@ func TestViewsDivergeByObjective(t *testing.T) {
 		BurstDuration: 100 * time.Millisecond,
 	})
 	tp := m.View(ObjectiveThroughput)
-	if again := m.View(ObjectiveThroughput); again.v != tp.v {
-		t.Fatal("repeated View(obj) did not share selection state")
+	if again := m.View(ObjectiveThroughput); again != tp {
+		t.Fatal("repeated View(obj) returned a different view")
 	}
-	if lat := m.View(ObjectiveLatency); lat.v != m.defView {
+	if lat := m.View(ObjectiveLatency); lat != m.defView {
 		t.Fatal("View(configured objective) is not the monitor's own view")
 	}
 
@@ -290,7 +288,6 @@ func TestViewsDivergeByObjective(t *testing.T) {
 			map[Route]time.Duration{Direct: 10 * time.Millisecond, relayA: 40 * time.Millisecond},
 			map[Route]float64{Direct: 10, relayA: 100})
 	}
-	m.now = func() time.Time { return now.Add(2 * time.Second) }
 	if best, ok := m.Best(); !ok || best != Direct {
 		t.Fatalf("latency view best = %v (%v), want direct", best, ok)
 	}
@@ -299,14 +296,5 @@ func TestViewsDivergeByObjective(t *testing.T) {
 	}
 	if ranked := tp.Ranked(); len(ranked) == 0 || !ranked[0].Best || ranked[0].Route != relayA {
 		t.Fatalf("throughput view table does not mark its own best: %+v", ranked)
-	}
-
-	// Pin overrides every view at once.
-	m.Pin(relayA)
-	if best, _ := m.Best(); best != relayA {
-		t.Fatalf("latency view best = %v after Pin, want %v", best, relayA)
-	}
-	if best, _ := tp.Best(); best != relayA {
-		t.Fatalf("throughput view best = %v after Pin, want %v", best, relayA)
 	}
 }

@@ -29,7 +29,7 @@ func TestFramerTraceContextRoundTrip(t *testing.T) {
 	if err := f.WriteFrameCtx([]byte("traced"), tc); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteFrame([]byte("plain")); err != nil {
+	if err := f.WriteFrameCtx([]byte("plain"), flowtrace.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	unsampled := tc
@@ -67,7 +67,7 @@ func TestFramerTraceContextRoundTrip(t *testing.T) {
 func TestFramerUntracedWireUnchanged(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFramer(&buf)
-	if err := f.WriteFrame([]byte("abc")); err != nil {
+	if err := f.WriteFrameCtx([]byte("abc"), flowtrace.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	want := []byte{0, 0, 0, 3, 'a', 'b', 'c'}

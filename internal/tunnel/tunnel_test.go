@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cronets/internal/flowtrace"
 	"cronets/internal/obs"
 )
 
@@ -17,12 +18,12 @@ func TestFramerRoundtrip(t *testing.T) {
 	f := NewFramer(&buf)
 	payloads := [][]byte{[]byte("hello"), {}, []byte("world"), bytes.Repeat([]byte{7}, 10000)}
 	for _, p := range payloads {
-		if err := f.WriteFrame(p); err != nil {
+		if err := f.WriteFrameCtx(p, flowtrace.Context{}); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
 	for _, want := range payloads {
-		got, err := f.ReadFrame()
+		got, _, err := f.ReadFrameCtx()
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -35,12 +36,12 @@ func TestFramerRoundtrip(t *testing.T) {
 func TestFramerRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFramer(&buf)
-	if err := f.WriteFrame(make([]byte, MaxFrameSize+1)); err != ErrFrameTooLarge {
+	if err := f.WriteFrameCtx(make([]byte, MaxFrameSize+1), flowtrace.Context{}); err != ErrFrameTooLarge {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 	// A corrupted length header must be rejected on read.
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := f.ReadFrame(); err != ErrFrameTooLarge {
+	if _, _, err := f.ReadFrameCtx(); err != ErrFrameTooLarge {
 		t.Errorf("read err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -53,10 +54,10 @@ func TestFramerProperty(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		fr := NewFramer(&buf)
-		if err := fr.WriteFrame(payload); err != nil {
+		if err := fr.WriteFrameCtx(payload, flowtrace.Context{}); err != nil {
 			return false
 		}
-		got, err := fr.ReadFrame()
+		got, _, err := fr.ReadFrameCtx()
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
