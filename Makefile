@@ -12,7 +12,8 @@
 #   make fmt          gofmt diff gate (fails if any file needs formatting)
 #   make check        all of the above
 #   make bench        data-plane benchmarks (pipe, relay, multipath, gateway
-#                     dial, chain dial)
+#                     dial, chain dial, probe round); BENCHTIME=1x runs
+#                     each once, as CI does
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
 #   make bench-smoke  chain gate: the chain failover e2e under -race plus
@@ -22,6 +23,7 @@
 #                     ./... never reaches (it is a module of its own)
 
 GO ?= go
+BENCHTIME ?= 1s
 
 .PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke perfbench-check
 
@@ -64,7 +66,7 @@ fmt:
 check: fmt vet test race perfbench-check
 
 bench:
-	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound' -benchmem ./...
+	$(GO) test -run=NONE -bench='PipeBidirectional|RelayThroughput|MultipathReceive|GatewayDial|ChainDial|ProbeRound' -benchtime=$(BENCHTIME) -benchmem ./...
 
 # The alloc gate runs without -race (the race runtime adds allocations of
 # its own); the e2e runs with it.

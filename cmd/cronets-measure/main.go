@@ -33,9 +33,9 @@ import (
 	"strings"
 	"time"
 
+	"cronets/internal/chain"
 	"cronets/internal/flowtrace"
 	"cronets/internal/measure"
-	"cronets/internal/relay"
 )
 
 func main() {
@@ -93,7 +93,7 @@ func dialMaybeRelay(ctx context.Context, connect, relayAddr string, timeout time
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", connect)
 	}
-	return relay.DialVia(ctx, nil, relayAddr, connect)
+	return chain.Dial(ctx, []string{relayAddr}, connect, chain.Options{})
 }
 
 func runClient(args []string) error {

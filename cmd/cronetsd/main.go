@@ -174,37 +174,7 @@ func runRelay(o options) error {
 			"endpoints", "/metrics /metrics.json /debug/vars /debug/events /debug/traces /debug/pprof /healthz")
 	}
 
-	stopSummary := make(chan struct{})
-	if o.statsEvery > 0 {
-		go func() {
-			t := time.NewTicker(o.statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					logStats(slog.Default(), reg, nil, "stats")
-				case <-stopSummary:
-					return
-				}
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- r.Serve() }()
-
-	select {
-	case s := <-sig:
-		close(stopSummary)
-		slog.Info("cronetsd shutting down", "signal", s.String())
-		logStats(slog.Default(), reg, nil, "final stats")
-		return r.Close()
-	case err := <-done:
-		close(stopSummary)
-		return err
-	}
+	return serveUntilSignal(o, reg, nil, r.Serve, r.Close)
 }
 
 // runGateway runs the client-side control plane: pathmon probing the
@@ -287,7 +257,16 @@ func runGateway(o options) error {
 			"endpoints", "/metrics /metrics.json /debug/vars /debug/events /debug/traces /debug/paths /debug/pprof /healthz")
 	}
 
+	return serveUntilSignal(o, reg, mon, func() error { return gw.Serve(ln) }, gw.Close)
+}
+
+// serveUntilSignal runs serve until it fails or SIGINT/SIGTERM arrives,
+// then logs a final registry summary and calls closeFn. Every
+// o.statsEvery (0 disables) it logs the same summary; a non-nil mon
+// (gateway mode) adds the committed best path to each one.
+func serveUntilSignal(o options, reg *obs.Registry, mon *pathmon.Monitor, serve, closeFn func() error) error {
 	stopSummary := make(chan struct{})
+	defer close(stopSummary)
 	if o.statsEvery > 0 {
 		go func() {
 			t := time.NewTicker(o.statsEvery)
@@ -306,16 +285,14 @@ func runGateway(o options) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
-	go func() { done <- gw.Serve(ln) }()
+	go func() { done <- serve() }()
 
 	select {
 	case s := <-sig:
-		close(stopSummary)
 		slog.Info("cronetsd shutting down", "signal", s.String())
 		logStats(slog.Default(), reg, mon, "final stats")
-		return gw.Close()
+		return closeFn()
 	case err := <-done:
-		close(stopSummary)
 		return err
 	}
 }

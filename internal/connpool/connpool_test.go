@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/leakcheck"
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
 	"cronets/internal/relay"
@@ -318,6 +319,7 @@ func TestConcurrentCheckout(t *testing.T) {
 }
 
 func TestCloseRetiresEverything(t *testing.T) {
+	leakcheck.Check(t)
 	srv := newAcceptServer(t)
 	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 3,
 		FillInterval: time.Hour})

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"cronets/internal/chain"
@@ -103,11 +102,9 @@ type Gateway struct {
 	bytesUp, bytesDown               *obs.Counter
 	active                           *obs.Gauge
 
-	mu     sync.Mutex
-	closed bool
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	// group owns listener mode's lifecycle: the listener Serve hands it,
+	// live conns and handler goroutines.
+	group *pipe.Group
 }
 
 // ErrGatewayClosed is returned by Serve after Close.
@@ -135,10 +132,7 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Dialer == nil {
 		cfg.Dialer = &net.Dialer{}
 	}
-	g := &Gateway{
-		cfg:   cfg,
-		conns: make(map[net.Conn]struct{}),
-	}
+	g := &Gateway{cfg: cfg}
 	if cfg.PoolSize > 0 && cfg.Monitor != nil {
 		g.pool = connpool.New(connpool.Config{
 			SizePerRelay: cfg.PoolSize,
@@ -152,6 +146,7 @@ func New(cfg Config) (*Gateway, error) {
 		})
 	}
 	g.instrument(cfg.Obs)
+	g.group = pipe.NewGroup(ErrGatewayClosed, g.acceptErrors, g.scope.Logger())
 	return g, nil
 }
 
@@ -336,95 +331,28 @@ func (g *Gateway) dialRoute(ctx context.Context, r pathmon.Route) (conn net.Conn
 // re-ranking only steers subsequent accepts. It always returns a non-nil
 // error (ErrGatewayClosed after a clean shutdown).
 func (g *Gateway) Serve(ln net.Listener) error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return ErrGatewayClosed
-	}
-	g.ln = ln
-	g.mu.Unlock()
 	for {
-		down, err := pipe.Accept(ln, g.acceptErrors, g.scope.Logger())
+		down, err := g.group.Accept(ln)
 		if err != nil {
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed {
-				return ErrGatewayClosed
-			}
-			return fmt.Errorf("gateway: accept: %w", err)
+			return err
 		}
 		g.accepted.Inc()
-		if !g.track(down) {
-			// Lost the race with Close: the conn is already closed, and
-			// starting a handler would outlive the Close's wg.Wait.
+		if !pipe.Go(g.group, (*Gateway).handle, g, down) {
 			return ErrGatewayClosed
 		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			defer g.untrack(down)
-			g.handle(down)
-		}()
 	}
 }
 
-// Addr returns the listener address ("" outside listener mode).
-func (g *Gateway) Addr() net.Addr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ln == nil {
-		return nil
-	}
-	return g.ln.Addr()
-}
+// Addr returns the listener address (nil outside listener mode).
+func (g *Gateway) Addr() net.Addr { return g.group.Addr() }
 
 // Close stops the listener (if any), closes live flows, and retires the
 // warm connection pool.
 func (g *Gateway) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	g.closed = true
-	ln := g.ln
-	for c := range g.conns {
-		_ = c.Close()
-	}
-	g.mu.Unlock()
 	if g.pool != nil {
 		_ = g.pool.Close()
 	}
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	g.wg.Wait()
-	return err
-}
-
-// track registers a conn for Close's sweep. A conn that arrives
-// concurrently with Close — after the sweep ran — is closed on the spot
-// and not registered (reported as false): pre-fix it missed the sweep
-// and Close blocked on wg.Wait until the idle timeout reaped the flow.
-func (g *Gateway) track(c net.Conn) bool {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		_ = c.Close()
-		return false
-	}
-	g.conns[c] = struct{}{}
-	g.mu.Unlock()
-	return true
-}
-
-func (g *Gateway) untrack(c net.Conn) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.conns, c)
-	_ = c.Close()
+	return g.group.Close(nil)
 }
 
 // handle pipes one accepted connection to the destination. Each flow is
@@ -433,7 +361,7 @@ func (g *Gateway) untrack(c net.Conn) {
 func (g *Gateway) handle(down net.Conn) {
 	flow := g.cfg.Tracer.Start("gateway.flow", flowtrace.Context{})
 	defer flow.End()
-	ctx := flowtrace.NewGoContext(context.Background(), flow.Context())
+	ctx := flowtrace.NewGoContext(g.group.Context(), flow.Context())
 
 	up, route, err := g.Dial(ctx)
 	if err != nil {
@@ -441,13 +369,13 @@ func (g *Gateway) handle(down net.Conn) {
 		g.scope.Logger().Warn("gateway dial failed", "err", err)
 		return
 	}
-	if !g.track(up) {
-		// The gateway closed while we were dialing: the upstream leg was
-		// closed by track; drop the flow.
+	if !g.group.Track(up) {
+		// The gateway closed while we were dialing: Track closed the
+		// upstream leg; drop the flow.
 		flow.SetDetail("closed during dial")
 		return
 	}
-	defer g.untrack(up)
+	defer g.group.Untrack(up)
 	if flow != nil {
 		// Route.String() already carries the "via" prefix for overlay
 		// routes ("direct", "via a", "via a>b>c").
@@ -485,6 +413,4 @@ func (g *Gateway) handle(down net.Conn) {
 	if err != nil {
 		g.scope.Logger().Debug("gateway flow ended with error", "err", err)
 	}
-	_ = down.Close()
-	_ = up.Close()
 }

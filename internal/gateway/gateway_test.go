@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/leakcheck"
 	"cronets/internal/measure"
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
@@ -169,6 +170,7 @@ func TestDialFallsBackWhenBestPathDead(t *testing.T) {
 }
 
 func TestServeListenerMode(t *testing.T) {
+	leakcheck.Check(t)
 	dest := echoServer(t)
 	reg := obs.NewRegistry()
 	g, err := New(Config{Dest: dest.String(), Obs: reg})
@@ -380,8 +382,8 @@ func TestDialDirectStaysInsideAttemptCap(t *testing.T) {
 
 // TestTrackAfterCloseClosesConn: a conn that loses the race with Close —
 // accepted or dialed after the shutdown sweep ran — must be closed by
-// track instead of silently registered, where it would dangle past
-// Close's wg.Wait with nothing left to reap it.
+// the gateway's connection group instead of silently registered, where
+// it would dangle past Close's wait with nothing left to reap it.
 func TestTrackAfterCloseClosesConn(t *testing.T) {
 	dest := echoServer(t)
 	g, err := New(Config{Dest: dest.String()})
@@ -394,7 +396,7 @@ func TestTrackAfterCloseClosesConn(t *testing.T) {
 
 	local, remote := net.Pipe()
 	defer remote.Close()
-	if g.track(local) {
+	if g.group.Track(local) {
 		t.Fatal("track registered a conn after Close")
 	}
 	// track must have closed the conn: the peer sees EOF promptly.

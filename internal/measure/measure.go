@@ -15,7 +15,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"sync"
 	"time"
 
 	"cronets/internal/obs"
@@ -33,12 +32,8 @@ const probeSize = 16
 
 // Server is a measurement responder (sink + echo).
 type Server struct {
-	ln net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+	ln    net.Listener
+	group *pipe.Group
 }
 
 // ErrServerClosed is returned by Serve after Close.
@@ -46,64 +41,28 @@ var ErrServerClosed = errors.New("measure: server closed")
 
 // NewServer wraps a listener as a measurement server.
 func NewServer(ln net.Listener) *Server {
-	return &Server{ln: ln, conns: make(map[net.Conn]struct{})}
+	return &Server{ln: ln, group: pipe.NewGroup(ErrServerClosed, nil, slog.Default())}
 }
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Serve accepts and handles measurement connections until Close,
-// retrying transient accept failures (pipe.Accept).
+// retrying transient accept failures (pipe.Group.Accept).
 func (s *Server) Serve() error {
 	for {
-		conn, err := pipe.Accept(s.ln, nil, slog.Default())
+		conn, err := s.group.Accept(s.ln)
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return fmt.Errorf("measure: accept: %w", err)
+			return err
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
+		if !pipe.Go(s.group, (*Server).handle, s, conn) {
 			return ErrServerClosed
 		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				_ = conn.Close()
-			}()
-			s.handle(conn)
-		}()
 	}
 }
 
 // Close stops the server and closes live connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.group.Close(s.ln) }
 
 func (s *Server) handle(conn net.Conn) {
 	var mode [1]byte

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cronets/internal/leakcheck"
 )
 
 func startServer(t *testing.T) *Server {
@@ -83,6 +85,7 @@ func TestProbeRTTDefaultCount(t *testing.T) {
 }
 
 func TestServerCloseUnblocksServe(t *testing.T) {
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

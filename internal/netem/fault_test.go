@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/leakcheck"
 	"cronets/internal/obs"
 )
 
@@ -104,6 +105,7 @@ func TestFaultKillAfterDuration(t *testing.T) {
 // TestFaultBlackhole: a blackholed direction stalls without closing — the
 // client's read times out rather than seeing EOF.
 func TestFaultBlackhole(t *testing.T) {
+	leakcheck.Check(t)
 	echo := echoServer(t)
 	p := startProxy(t, echo.Addr().String(), Config{
 		Faults: FaultPlan{Rules: []FaultRule{

@@ -86,12 +86,10 @@ type Proxy struct {
 	refused    *obs.Counter
 	scope      *obs.Scope
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	// stopc releases blackholed directions on Close.
-	stopc chan struct{}
-	wg    sync.WaitGroup
+	// group owns the proxy's lifecycle: live conns, handler goroutines,
+	// and the context Close cancels, which also releases blackholed
+	// directions.
+	group *pipe.Group
 }
 
 // ErrProxyClosed is returned by Serve after Close.
@@ -113,8 +111,6 @@ func New(ln net.Listener, target string, cfg Config) *Proxy {
 		up:     cfg.Up,
 		down:   cfg.Down,
 		rng:    rand.New(rand.NewSource(seed)),
-		conns:  make(map[net.Conn]struct{}),
-		stopc:  make(chan struct{}),
 	}
 	p.refuseN.Store(int64(cfg.Faults.RefuseConns))
 	p.shapedUp = cfg.Obs.Counter(obs.Label("cronets_netem_shaped_bytes_total", "dir", "up"),
@@ -129,6 +125,7 @@ func New(ln net.Listener, target string, cfg Config) *Proxy {
 	p.refused = cfg.Obs.Counter("cronets_netem_refused_total",
 		"Inbound connections refused by the fault plan.")
 	p.scope = cfg.Obs.Scope("netem")
+	p.group = pipe.NewGroup(ErrProxyClosed, nil, p.scope.Logger())
 	return p
 }
 
@@ -176,74 +173,45 @@ func (p *Proxy) jitter(max time.Duration) time.Duration {
 func (p *Proxy) Addr() net.Addr { return p.ln.Addr() }
 
 // Serve accepts and shapes connections until Close, retrying transient
-// accept failures (pipe.Accept).
+// accept failures (pipe.Group.Accept).
 func (p *Proxy) Serve() error {
 	for {
-		conn, err := pipe.Accept(p.ln, nil, p.scope.Logger())
+		conn, err := p.group.Accept(p.ln)
 		if err != nil {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				return ErrProxyClosed
-			}
-			return fmt.Errorf("netem: accept: %w", err)
+			return err
 		}
+		// Number connections in accept order, here and not in the
+		// handler: fault plans key on the index.
 		idx := p.connSeq.Add(1) - 1
 		if p.tryRefuse(idx) {
-			_ = conn.Close()
+			p.group.Untrack(conn)
 			continue
 		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.handle(idx, conn)
-		}()
+		if !pipe.Go(p.group, link.handle, link{p, idx}, conn) {
+			return ErrProxyClosed
+		}
 	}
 }
 
 // Close stops the proxy and closes live connections.
-func (p *Proxy) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	close(p.stopc)
-	for c := range p.conns {
-		_ = c.Close()
-	}
-	p.mu.Unlock()
-	err := p.ln.Close()
-	p.wg.Wait()
-	return err
+func (p *Proxy) Close() error { return p.group.Close(p.ln) }
+
+// link is one accepted connection's proxy and accept-order index.
+type link struct {
+	p   *Proxy
+	idx int64
 }
 
-func (p *Proxy) handle(idx int64, down net.Conn) {
-	defer down.Close()
-	up, err := net.DialTimeout("tcp", p.target, 10*time.Second)
-	if err != nil {
+func (l link) handle(down net.Conn) {
+	p := l.p
+	d := net.Dialer{Timeout: 10 * time.Second}
+	up, err := d.DialContext(p.group.Context(), "tcp", p.target)
+	if err != nil || !p.group.Track(up) {
 		return
 	}
-	defer up.Close()
+	defer p.group.Untrack(up)
 
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.conns[down] = struct{}{}
-	p.conns[up] = struct{}{}
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.conns, down)
-		delete(p.conns, up)
-		p.mu.Unlock()
-	}()
-
-	upRules, downRules, all := p.armFaults(idx, down, up)
+	upRules, downRules, all := p.armFaults(l.idx, down, up)
 	defer func() {
 		for _, a := range all {
 			a.stop()
@@ -343,7 +311,7 @@ func (s *shaper) shape(chunk []byte, write pipe.WriteFunc) error {
 		// both sockets open — the silent-failure mode.
 		for _, a := range s.rules {
 			if a.blackhole.Load() {
-				<-p.stopc
+				<-p.group.Context().Done()
 				return errBlackholed
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cronets/internal/leakcheck"
 )
 
 // echoServer echoes bytes back.
@@ -138,6 +140,7 @@ func TestRateLimit(t *testing.T) {
 }
 
 func TestCloseUnblocksServe(t *testing.T) {
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/leakcheck"
 	"cronets/internal/obs"
 )
 
@@ -30,6 +31,7 @@ func (d *blackholeDialer) DialContext(ctx context.Context, _, _ string) (net.Con
 // 30 s probe budget and a dial that never returns, Close must still come
 // back in milliseconds.
 func TestCloseFastWithBlackholedProbe(t *testing.T) {
+	leakcheck.Check(t)
 	d := &blackholeDialer{dialing: make(chan struct{}, 8)}
 	m, _ := synthMonitor(t, Config{
 		Fleet:        []string{"relay-a:9000"},

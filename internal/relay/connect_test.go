@@ -130,7 +130,7 @@ func TestConnectRefusedByRealRelay(t *testing.T) {
 	r := startRelay(t, Config{ACL: acl})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err = DialVia(ctx, nil, r.Addr().String(), "192.0.2.1:9")
+	_, err = dialVia(ctx, r.Addr().String(), "192.0.2.1:9")
 	if !errors.Is(err, ErrRefused) {
 		t.Fatalf("ACL rejection err = %v, want ErrRefused", err)
 	}
@@ -173,5 +173,41 @@ func TestConnectDeadlineMidPreamble(t *testing.T) {
 	}
 	if errors.Is(err, ErrRefused) {
 		t.Errorf("timeout misclassified as refusal: %v", err)
+	}
+}
+
+// TestConnectBannerKeepsHalfClose (regression): when destination bytes
+// (a server-first banner) arrive in the same segment as the relay's OK,
+// the connection Connect returns must replay them and still forward TCP
+// half-close. Pre-fix it returned a wrapper without CloseWrite, so the
+// client's EOF never reached the destination through a relay or chain.
+func TestConnectBannerKeepsHalfClose(t *testing.T) {
+	sawEOF := make(chan error, 1)
+	addr := connectServer(t, func(c net.Conn) {
+		_, _ = io.WriteString(c, "OK\nbanner")
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := io.Copy(io.Discard, c)
+		sawEOF <- err
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	conn, err := dialConnect(t, ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	banner := make([]byte, len("banner"))
+	if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != "banner" {
+		t.Fatalf("banner = %q, %v", banner, err)
+	}
+	cw, ok := conn.(interface{ CloseWrite() error })
+	if !ok {
+		t.Fatalf("Connect returned %T, which cannot half-close", conn)
+	}
+	if err := cw.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sawEOF; err != nil {
+		t.Errorf("far end read %v after CloseWrite, want EOF", err)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -86,11 +85,10 @@ type Relay struct {
 	dialLatency                            *obs.Histogram
 	scope                                  *obs.Scope
 
-	// baseCtx is cancelled by Close so handlers parked in dial-retry
-	// backoff (or any other context-aware wait) unblock immediately
-	// instead of sleeping out their schedule.
-	baseCtx   context.Context
-	cancelAll context.CancelFunc
+	// group owns the listener lifecycle: live conns, handler goroutines,
+	// and the context Close cancels so handlers parked in dial-retry
+	// backoff unblock immediately instead of sleeping out their schedule.
+	group *pipe.Group
 
 	// pending counts CONNECT-mode sockets accepted but still waiting for
 	// their preamble. They do not burn a MaxConns slot (a warm
@@ -98,11 +96,6 @@ type Relay struct {
 	// capped at 2x MaxConns themselves so an open-socket flood stays
 	// bounded without idle warm legs starving fresh arrivals.
 	pending atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
 }
 
 // ErrRelayClosed is returned by Serve after Close.
@@ -137,13 +130,9 @@ func New(ln net.Listener, cfg Config) *Relay {
 	if cfg.Dialer == nil {
 		cfg.Dialer = &net.Dialer{}
 	}
-	r := &Relay{
-		cfg:   cfg,
-		ln:    ln,
-		conns: make(map[net.Conn]struct{}),
-	}
-	r.baseCtx, r.cancelAll = context.WithCancel(context.Background())
+	r := &Relay{cfg: cfg, ln: ln}
 	r.instrument(cfg.Obs)
+	r.group = pipe.NewGroup(ErrRelayClosed, r.acceptErrors, r.scope.Logger())
 	return r
 }
 
@@ -179,115 +168,58 @@ func (r *Relay) Addr() net.Addr { return r.ln.Addr() }
 // Serve accepts and relays connections until Close. It always returns a
 // non-nil error (ErrRelayClosed after a clean shutdown).
 func (r *Relay) Serve() error {
+	// Claim capacity at accept time, since the handler goroutine may not
+	// have run yet: a MaxConns slot in forward mode, a pending slot in
+	// CONNECT mode, which claims its MaxConns slot once the preamble
+	// arrives (see pending).
+	slot, limit := &r.active, r.cfg.MaxConns
+	if r.cfg.Target == "" {
+		slot, limit = &r.pending, 2*r.cfg.MaxConns
+	}
 	for {
-		conn, err := pipe.Accept(r.ln, r.acceptErrors, r.scope.Logger())
+		conn, err := r.group.Accept(r.ln)
 		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return ErrRelayClosed
-			}
-			return fmt.Errorf("relay: accept: %w", err)
+			return err
 		}
-		// Reserve capacity atomically at accept time: the handler
-		// goroutine may not have run yet, so checking active without
-		// reserving would let an accept burst sail past the cap.
-		//
-		// CONNECT mode defers the MaxConns reservation until the
-		// preamble arrives, so a warm connection pool can hold idle
-		// pre-CONNECT sockets open without starving real flows; the
-		// idle sockets are bounded by their own equal-sized pending cap.
-		reserved := r.cfg.Target != ""
-		if reserved {
-			if !r.reserve() {
-				_ = conn.Close()
-				r.overloaded.Inc()
-				continue
-			}
-		} else if !r.reservePending() {
-			_ = conn.Close()
+		if !claim(slot, limit) {
+			r.group.Untrack(conn)
 			r.overloaded.Inc()
 			continue
 		}
-		r.track(conn)
 		r.accepted.Inc()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer r.untrack(conn)
-			if err := r.handle(conn, reserved); err != nil {
-				if errors.Is(err, errACLRejected) {
-					r.rejected.Inc()
-				} else {
-					r.errs.Inc()
-				}
-			}
-		}()
+		if !pipe.Go(r.group, (*Relay).serveConn, r, conn) {
+			slot.Add(-1)
+			return ErrRelayClosed
+		}
 	}
 }
 
 // Close stops accepting, closes live connections, and waits for handlers.
-func (r *Relay) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	for c := range r.conns {
-		_ = c.Close()
-	}
-	r.mu.Unlock()
-	r.cancelAll()
-	err := r.ln.Close()
-	r.wg.Wait()
-	return err
-}
+func (r *Relay) Close() error { return r.group.Close(r.ln) }
 
-// reserve claims one unit of MaxConns capacity via compare-and-swap on
-// the active count; the handler's deferred decrement releases it.
-func (r *Relay) reserve() bool {
+// claim takes one unit of n below limit by compare-and-swap: checking
+// without reserving would let a burst sail past the cap.
+func claim(n *atomic.Int64, limit int) bool {
 	for {
-		cur := r.active.Load()
-		if cur >= int64(r.cfg.MaxConns) {
+		cur := n.Load()
+		if cur >= int64(limit) {
 			return false
 		}
-		if r.active.CompareAndSwap(cur, cur+1) {
+		if n.CompareAndSwap(cur, cur+1) {
 			return true
 		}
 	}
 }
 
-// reservePending claims one unit of the pre-CONNECT pending cap (2x
-// MaxConns — headroom so long-lived idle warm legs cannot starve fresh
-// arrivals of their transient pending slot); releasePending returns it
-// once the preamble arrives or the socket dies.
-func (r *Relay) reservePending() bool {
-	for {
-		cur := r.pending.Load()
-		if cur >= 2*int64(r.cfg.MaxConns) {
-			return false
-		}
-		if r.pending.CompareAndSwap(cur, cur+1) {
-			return true
+// serveConn relays one admitted connection and counts how it ended.
+func (r *Relay) serveConn(conn net.Conn) {
+	if err := r.handle(conn); err != nil {
+		if errors.Is(err, errACLRejected) {
+			r.rejected.Inc()
+		} else {
+			r.errs.Inc()
 		}
 	}
-}
-
-func (r *Relay) releasePending() { r.pending.Add(-1) }
-
-func (r *Relay) track(c net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.conns[c] = struct{}{}
-}
-
-func (r *Relay) untrack(c net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.conns, c)
-	_ = c.Close()
 }
 
 // handle relays one downstream connection. In forward mode the caller
@@ -295,7 +227,8 @@ func (r *Relay) untrack(c net.Conn) {
 // the caller reserved only a pending slot and the MaxConns reservation
 // happens here, once the preamble arrives — an idle pre-CONNECT socket
 // (a gateway's warm connection pool) does not burn a relay slot.
-func (r *Relay) handle(down net.Conn, reserved bool) error {
+func (r *Relay) handle(down net.Conn) error {
+	reserved := r.cfg.Target != ""
 	defer func() {
 		if reserved {
 			r.active.Add(-1)
@@ -315,7 +248,7 @@ func (r *Relay) handle(down net.Conn, reserved bool) error {
 			_ = down.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
 		}
 		line, err := br.ReadString('\n')
-		r.releasePending()
+		r.pending.Add(-1)
 		if err != nil {
 			if errors.Is(err, io.EOF) && line == "" {
 				// A warm socket closed cleanly before sending any
@@ -338,7 +271,7 @@ func (r *Relay) handle(down net.Conn, reserved bool) error {
 		}
 		// The preamble is in: this is a real flow now, so it must claim a
 		// MaxConns slot like any forward-mode connection.
-		if !r.reserve() {
+		if !claim(&r.active, r.cfg.MaxConns) {
 			_, _ = io.WriteString(down, "ERR overloaded\n")
 			r.overloaded.Inc()
 			return nil
@@ -353,7 +286,7 @@ func (r *Relay) handle(down net.Conn, reserved bool) error {
 	// CONNECT mode — when the client hangs up mid-dial, so a caller that
 	// gives up cannot pin this goroutine (and its MaxConns slot) through
 	// the whole retry schedule.
-	dialCtx, cancelDial := context.WithCancel(r.baseCtx)
+	dialCtx, cancelDial := context.WithCancel(r.group.Context())
 	stopWatch := r.watchAbort(down, br, cancelDial)
 	dialSpan := r.cfg.Tracer.Continue("relay.dial", tc)
 	up, err := r.dialUpstream(dialCtx, target)
@@ -371,9 +304,10 @@ func (r *Relay) handle(down net.Conn, reserved bool) error {
 	dialSpan.SetDetail(target)
 	dialSpan.End()
 	r.scope.Event(obs.EventDial, "ok "+target)
-	defer up.Close()
-	r.track(up)
-	defer r.untrack(up)
+	if !r.group.Track(up) {
+		return nil // closed while dialing; Track closed the upstream leg
+	}
+	defer r.group.Untrack(up)
 
 	if br != nil {
 		if _, err := io.WriteString(down, "OK\n"); err != nil {
@@ -549,21 +483,6 @@ func ParseConnectTrace(line string) (string, flowtrace.Context, error) {
 	return target, tc, nil
 }
 
-// DialVia connects to target through a CONNECT-mode relay and completes
-// the handshake, returning the relayed connection. If ctx carries a
-// sampled trace context (flowtrace.NewGoContext), it is propagated to
-// the relay in the CONNECT preamble so the relay's spans join the trace.
-func DialVia(ctx context.Context, d Dialer, relayAddr, target string) (net.Conn, error) {
-	if d == nil {
-		d = &net.Dialer{}
-	}
-	conn, err := d.DialContext(ctx, "tcp", relayAddr)
-	if err != nil {
-		return nil, fmt.Errorf("relay: dial relay %s: %w", relayAddr, err)
-	}
-	return Connect(ctx, conn, target)
-}
-
 // ErrRefused marks a CONNECT the relay answered with an ERR line: the
 // relay's socket is alive but it declined the flow (ACL forbids the
 // target, MaxConns overload, upstream dial failure). Callers classify it
@@ -578,8 +497,11 @@ var ErrRefused = errors.New("relay: connect refused")
 // ctx bounds the whole preamble exchange: its deadline covers both the
 // request write and the reply read, and cancelling it mid-handshake
 // force-expires the socket so the caller returns promptly. ctx also
-// carries the optional trace context, exactly as in DialVia. On error the
-// connection is closed.
+// carries the optional trace context (flowtrace.NewGoContext), which is
+// propagated to the relay in the CONNECT preamble so the relay's spans
+// join the trace. On error the connection is closed. Bytes the relay sent
+// right behind its OK reply (a server-first banner) are replayed by the
+// returned connection, which still forwards TCP half-close.
 func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
@@ -608,7 +530,7 @@ func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error
 		return nil, fmt.Errorf("%w: %s", ErrRefused, strings.TrimSpace(line))
 	}
 	if br.Buffered() > 0 {
-		return &bufferedConn{Conn: conn, r: br}, nil
+		return pipe.WithReader(conn, br), nil
 	}
 	return conn, nil
 }
@@ -629,11 +551,3 @@ func connectAbortErr(ctx context.Context, err error) error {
 	}
 	return err
 }
-
-// bufferedConn keeps bytes the handshake reader over-read.
-type bufferedConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func (b *bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/chain"
 	"cronets/internal/measure"
 	"cronets/internal/multipath"
 	"cronets/internal/netem"
@@ -100,7 +101,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// Connection 1: sink-mode upload through netem -> relay -> server.
 	const uploadBytes = 1 << 20
-	conn, err := relay.DialVia(ctx, nil, shaper.Addr().String(), msLn.Addr().String())
+	conn, err := chain.Dial(ctx, []string{shaper.Addr().String()}, msLn.Addr().String(), chain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	const probes = 5
 	rttHist := reg.Histogram("cronets_measure_probe_rtt_seconds",
 		"Application-level RTT of echo probes.", obs.LatencyBuckets)
-	probeConn, err := relay.DialVia(ctx, nil, shaper.Addr().String(), msLn.Addr().String())
+	probeConn, err := chain.Dial(ctx, []string{shaper.Addr().String()}, msLn.Addr().String(), chain.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
