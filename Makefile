@@ -21,11 +21,14 @@
 #                     splice and on route-table reads (Best + Ranked)
 #   make perfbench-check  vet and self-test the perfbench module, which
 #                     ./... never reaches (it is a module of its own)
+#   make fuzz-smoke   run every Fuzz* target in the tree for 3s each: the
+#                     CONNECT request and reply, trace contexts, tunnel
+#                     frames and packets, and the multipath frame header
 
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke perfbench-check
+.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke perfbench-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -88,3 +91,18 @@ bench-smoke:
 # could break the benchmark with every other gate green.
 perfbench-check:
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
+
+# One go test per target (-fuzz accepts only one per run). The targets
+# come from go test -list, so a new Fuzz* function runs with no edit here:
+# the listing prints each package's target names, then its "ok <pkg>" line.
+fuzz-smoke:
+	@set -e; list=$$($(GO) test -run=NONE -list='^Fuzz' ./...); \
+	echo "$$list" | grep -q '^Fuzz' || { echo "fuzz-smoke: no Fuzz targets found"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { names = names " " $$1 } \
+		/^ok/ { if (names != "") print $$2 names; names = "" }' | \
+	while read pkg names; do \
+		for t in $$names; do \
+			echo "fuzz $$t ($$pkg)"; \
+			$(GO) test -run=NONE -fuzz="^$$t\$$" -fuzztime=3s $$pkg || exit 1; \
+		done; \
+	done

@@ -103,7 +103,7 @@ func TestWarmPoolEndToEnd(t *testing.T) {
 	defer gwCold.Close()
 
 	waitFor(t, 10*time.Second, "pool warm-up", func() bool {
-		return gwPooled.Pool().Idle(relayAddr) >= 2
+		return gwPooled.Pool().TotalIdle() >= 2
 	})
 
 	// Dial each gateway a few times and keep the fastest attempt: the
@@ -114,7 +114,7 @@ func TestWarmPoolEndToEnd(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			if warm {
 				waitFor(t, 10*time.Second, "pool re-warm", func() bool {
-					return g.Pool().Idle(relayAddr) >= 1
+					return g.Pool().TotalIdle() >= 1
 				})
 			}
 			start := time.Now()

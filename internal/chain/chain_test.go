@@ -159,13 +159,14 @@ func TestChainSecondHopRefused(t *testing.T) {
 func TestChainPerHopTimeout(t *testing.T) {
 	// A fake hop-1 relay that swallows the CONNECT and never answers
 	// (okHops = 0: the only preamble it ever sees is hop 1's — hop 0's
-	// goes to the real relay in front of it): the per-hop deadline fires
+	// goes to the real relay in front of it): the caller's deadline fires
 	// and the error names hop 1 as a timeout.
 	stall := newStallRelay(t, 0)
 	r1 := startRelay(t, relay.Config{})
 	start := time.Now()
-	_, err := Dial(context.Background(), []string{r1, stall}, "192.0.2.1:9",
-		Options{PerHopTimeout: 100 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	_, err := Dial(ctx, []string{r1, stall}, "192.0.2.1:9", Options{})
 	var he *HopError
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v, want *HopError", err)

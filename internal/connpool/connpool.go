@@ -18,7 +18,6 @@ package connpool
 
 import (
 	"context"
-	"errors"
 	"net"
 	"strconv"
 	"sync"
@@ -26,6 +25,7 @@ import (
 
 	"cronets/internal/obs"
 	"cronets/internal/pathmon"
+	"cronets/internal/pipe"
 	"cronets/internal/relay"
 )
 
@@ -66,12 +66,9 @@ type Config struct {
 	FillInterval time.Duration
 	// DialTimeout bounds each warm dial (default 5 s).
 	DialTimeout time.Duration
-	// Ranker supplies relay rankings (usually the *pathmon.Monitor).
-	// With a nil Ranker the static Relays list below is warmed instead.
+	// Ranker supplies relay rankings (usually the *pathmon.Monitor);
+	// required.
 	Ranker Ranker
-	// Relays is the static warm set used when Ranker is nil: the first
-	// TopK entries are kept warm.
-	Relays []string
 	// Dialer overrides the relay dialer (tests).
 	Dialer relay.Dialer
 	// Obs receives the pool's metrics and events (nil disables
@@ -197,13 +194,6 @@ func (p *Pool) Get(relayAddr string) (net.Conn, bool) {
 	}
 }
 
-// Idle returns the number of warm connections pooled for relayAddr.
-func (p *Pool) Idle(relayAddr string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle[relayAddr])
-}
-
 // TotalIdle returns the number of warm connections pooled across relays.
 func (p *Pool) TotalIdle() int {
 	p.mu.Lock()
@@ -250,12 +240,8 @@ func (p *Pool) kick() {
 // drives TTL expiry of untouched connections).
 func (p *Pool) filler() {
 	defer p.wg.Done()
-	var rankc <-chan struct{}
-	if p.cfg.Ranker != nil {
-		ch, unsub := p.cfg.Ranker.Subscribe()
-		defer unsub()
-		rankc = ch
-	}
+	rankc, unsub := p.cfg.Ranker.Subscribe()
+	defer unsub()
 	t := time.NewTicker(p.cfg.FillInterval)
 	defer t.Stop()
 	p.Fill()
@@ -369,18 +355,8 @@ func (p *Pool) put(addr string, conn net.Conn, targets map[string]int) bool {
 // targets computes the warm set: the committed best path's relay plus
 // the top-K usable ranked relays, each at SizePerRelay — so pool sizes
 // follow the ranking and a demoted relay's idle connections drain.
-// Without a Ranker, the first TopK static Relays are warmed.
 func (p *Pool) targets() map[string]int {
 	out := make(map[string]int)
-	if p.cfg.Ranker == nil {
-		for i, addr := range p.cfg.Relays {
-			if i >= p.cfg.TopK {
-				break
-			}
-			out[addr] = p.cfg.SizePerRelay
-		}
-		return out
-	}
 	if best, ok := p.cfg.Ranker.Best(); ok && !best.IsDirect() {
 		// Warming a route's first hop makes a pooled dial pay only the
 		// per-hop CONNECT round trips, whatever the route's depth.
@@ -435,14 +411,8 @@ func deadlineAlive(c net.Conn) bool {
 	}
 	var b [1]byte
 	n, err := c.Read(b[:])
-	if n > 0 || !isTimeout(err) {
+	if n > 0 || !pipe.IsTimeout(err) {
 		return false
 	}
 	return c.SetReadDeadline(time.Time{}) == nil
-}
-
-// isTimeout reports whether err is a read-deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

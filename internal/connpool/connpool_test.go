@@ -111,17 +111,32 @@ func relayStatus(addr string, down bool) pathmon.RouteStatus {
 	return pathmon.RouteStatus{Route: pathmon.MakeRoute(addr), Down: down}
 }
 
+// rankOnly is a fixed ranking with addr as the committed best and only
+// relay.
+func rankOnly(addr string) *fakeRanker {
+	rk := &fakeRanker{}
+	rk.set(pathmon.MakeRoute(addr), true, []pathmon.RouteStatus{relayStatus(addr, false)})
+	return rk
+}
+
+// idle returns the number of warm connections pooled for relayAddr.
+func idle(p *Pool, relayAddr string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle[relayAddr])
+}
+
 // waitIdle polls until relayAddr has exactly want warm connections.
 func waitIdle(t *testing.T, p *Pool, relayAddr string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if p.Idle(relayAddr) == want {
+		if idle(p, relayAddr) == want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("idle(%s) = %d, want %d", relayAddr, p.Idle(relayAddr), want)
+	t.Fatalf("idle(%s) = %d, want %d", relayAddr, idle(p, relayAddr), want)
 }
 
 func counter(reg *obs.Registry, name string) int64 {
@@ -131,7 +146,7 @@ func counter(reg *obs.Registry, name string) int64 {
 func TestStaticWarmAndCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 2, Obs: reg})
+	p := New(Config{Ranker: rankOnly(srv.addr()), SizePerRelay: 2, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 2)
 
@@ -149,7 +164,7 @@ func TestStaticWarmAndCheckout(t *testing.T) {
 
 func TestMissOnEmptyPool(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{"127.0.0.1:1"}, Obs: reg,
+	p := New(Config{Ranker: rankOnly("127.0.0.1:1"), Obs: reg,
 		FillInterval: time.Hour, DialTimeout: 100 * time.Millisecond})
 	defer p.Close()
 
@@ -159,7 +174,7 @@ func TestMissOnEmptyPool(t *testing.T) {
 	if got := counter(reg, "cronets_connpool_misses_total"); got != 1 {
 		t.Errorf("misses = %d, want 1", got)
 	}
-	// The dead static relay's failed warm dials are counted.
+	// The dead relay's failed warm dials are counted.
 	deadline := time.Now().Add(5 * time.Second)
 	for counter(reg, "cronets_connpool_fill_errors_total") == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -172,7 +187,7 @@ func TestMissOnEmptyPool(t *testing.T) {
 func TestExpiryRetiresOldConns(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 1,
+	p := New(Config{Ranker: rankOnly(srv.addr()), SizePerRelay: 1,
 		IdleTTL: 50 * time.Millisecond, FillInterval: 10 * time.Millisecond, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 1)
@@ -192,7 +207,7 @@ func TestExpiryAtCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
 	// FillInterval huge: only Get's own TTL check can retire the conn.
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 1,
+	p := New(Config{Ranker: rankOnly(srv.addr()), SizePerRelay: 1,
 		IdleTTL: 30 * time.Millisecond, FillInterval: time.Hour, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 1)
@@ -209,7 +224,7 @@ func TestExpiryAtCheckout(t *testing.T) {
 func TestDeadConnDetectedAtCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 2,
+	p := New(Config{Ranker: rankOnly(srv.addr()), SizePerRelay: 2,
 		FillInterval: time.Hour, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), 2)
@@ -273,7 +288,7 @@ func TestConcurrentCheckout(t *testing.T) {
 	srv := newAcceptServer(t)
 	reg := obs.NewRegistry()
 	const size = 8
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: size,
+	p := New(Config{Ranker: rankOnly(srv.addr()), SizePerRelay: size,
 		FillInterval: time.Hour, Obs: reg})
 	defer p.Close()
 	waitIdle(t, p, srv.addr(), size)
@@ -321,7 +336,7 @@ func TestConcurrentCheckout(t *testing.T) {
 func TestCloseRetiresEverything(t *testing.T) {
 	leakcheck.Check(t)
 	srv := newAcceptServer(t)
-	p := New(Config{Relays: []string{srv.addr()}, SizePerRelay: 3,
+	p := New(Config{Ranker: rankOnly(srv.addr()), SizePerRelay: 3,
 		FillInterval: time.Hour})
 	waitIdle(t, p, srv.addr(), 3)
 	if err := p.Close(); err != nil {
@@ -365,7 +380,7 @@ func TestIdleTTLMeasuredFromParkTime(t *testing.T) {
 	now := time.Unix(1000, 0)
 	adv := func(d time.Duration) { now = now.Add(d) }
 	p := newPool(Config{
-		Relays: []string{srv.addr()}, SizePerRelay: 1, IdleTTL: time.Minute,
+		Ranker: rankOnly(srv.addr()), SizePerRelay: 1, IdleTTL: time.Minute,
 		Dialer: &slowClockDialer{inner: &net.Dialer{}, advance: adv, delay: 45 * time.Second},
 		Obs:    reg,
 	})
@@ -374,7 +389,7 @@ func TestIdleTTLMeasuredFromParkTime(t *testing.T) {
 
 	// The warm dial "takes" 45 simulated seconds before the conn parks.
 	p.Fill()
-	if got := p.Idle(srv.addr()); got != 1 {
+	if got := idle(p, srv.addr()); got != 1 {
 		t.Fatalf("idle = %d after fill, want 1", got)
 	}
 

@@ -1,6 +1,9 @@
 package flowtrace
 
-import "encoding/hex"
+import (
+	"encoding/binary"
+	"encoding/hex"
+)
 
 // TraceID identifies one end-to-end flow trace.
 type TraceID [16]byte
@@ -44,7 +47,7 @@ func (c Context) EncodeBinary(dst []byte) int {
 	if c.Sampled {
 		word |= sampledBit
 	}
-	putUint64(dst[16:24], word)
+	binary.BigEndian.PutUint64(dst[16:24], word)
 	return WireSize
 }
 
@@ -55,75 +58,30 @@ func DecodeBinary(b []byte) (c Context, ok bool) {
 		return Context{}, false
 	}
 	copy(c.Trace[:], b[:16])
-	word := getUint64(b[16:24])
+	word := binary.BigEndian.Uint64(b[16:24])
 	c.Span = word &^ sampledBit
 	c.Sampled = word&sampledBit != 0
 	return c, !c.Trace.IsZero()
 }
 
-// EncodeText returns the 48-hex-character text form used in the relay
-// CONNECT preamble.
-func (c Context) EncodeText() string {
+// AppendText appends the 48-hex-character text form used in the relay
+// CONNECT preamble to dst.
+func (c Context) AppendText(dst []byte) []byte {
 	var wire [WireSize]byte
 	c.EncodeBinary(wire[:])
-	return hex.EncodeToString(wire[:])
+	return hex.AppendEncode(dst, wire[:])
 }
 
-// DecodeText parses the text form produced by EncodeText.
-func DecodeText(s string) (Context, bool) {
-	if len(s) != TextSize {
-		return Context{}, false
-	}
-	return decodeHex([]byte(s))
-}
-
-// DecodeTextBytes is DecodeText over a byte slice. It allocates nothing,
-// so transparent middleboxes (netem) can sniff passing handshakes at
-// zero cost when no context is present.
-func DecodeTextBytes(b []byte) (Context, bool) {
+// DecodeText parses the text form produced by AppendText (either hex
+// case). It allocates nothing, so transparent middleboxes (netem) can
+// sniff passing handshakes at no cost.
+func DecodeText(b []byte) (Context, bool) {
 	if len(b) != TextSize {
 		return Context{}, false
 	}
-	return decodeHex(b)
-}
-
-func decodeHex(b []byte) (Context, bool) {
 	var wire [WireSize]byte
-	for i := 0; i < WireSize; i++ {
-		hi, ok1 := hexNibble(b[2*i])
-		lo, ok2 := hexNibble(b[2*i+1])
-		if !ok1 || !ok2 {
-			return Context{}, false
-		}
-		wire[i] = hi<<4 | lo
+	if _, err := hex.Decode(wire[:], b); err != nil {
+		return Context{}, false
 	}
 	return DecodeBinary(wire[:])
-}
-
-func hexNibble(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	_ = b[7]
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

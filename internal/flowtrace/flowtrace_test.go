@@ -1,6 +1,7 @@
 package flowtrace
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -50,29 +51,31 @@ func TestContextBinaryRejects(t *testing.T) {
 
 func TestContextTextRoundTrip(t *testing.T) {
 	c := testContext()
-	s := c.EncodeText()
+	s := c.AppendText(nil)
 	if len(s) != TextSize {
-		t.Fatalf("EncodeText length = %d, want %d", len(s), TextSize)
+		t.Fatalf("AppendText length = %d, want %d", len(s), TextSize)
 	}
 	got, ok := DecodeText(s)
 	if !ok || got != c {
 		t.Fatalf("DecodeText = %+v, %v; want %+v, true", got, ok, c)
 	}
-	got, ok = DecodeTextBytes([]byte(s))
-	if !ok || got != c {
-		t.Fatalf("DecodeTextBytes = %+v, %v; want %+v, true", got, ok, c)
-	}
 	// Uppercase hex decodes too.
-	if _, ok := DecodeText(strings.ToUpper(s)); !ok {
+	upper := bytes.ToUpper(s)
+	if _, ok := DecodeText(upper); !ok {
 		t.Error("uppercase hex rejected")
+	}
+	// netem sniffs every traced connection's first chunk with it.
+	bad := append([]byte("x"), s[1:]...)
+	if n := testing.AllocsPerRun(100, func() { DecodeText(upper); DecodeText(bad) }); n != 0 {
+		t.Errorf("DecodeText allocates %.1f per call pair, want 0", n)
 	}
 }
 
 func TestContextTextRejects(t *testing.T) {
 	c := testContext()
-	s := c.EncodeText()
+	s := string(c.AppendText(nil))
 	for _, bad := range []string{"", s[:TextSize-1], s + "00", strings.Replace(s, s[:1], "x", 1)} {
-		if _, ok := DecodeText(bad); ok {
+		if _, ok := DecodeText([]byte(bad)); ok {
 			t.Errorf("DecodeText(%q) ok, want rejection", bad)
 		}
 	}

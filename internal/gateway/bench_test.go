@@ -33,15 +33,14 @@ func (d *delayDialer) DialContext(ctx context.Context, network, addr string) (ne
 
 // newBenchGateway builds a relay + fixed ranking + gateway whose relay
 // leg costs benchHandshakeRTT to establish. poolSize 0 = pooling off.
-func newBenchGateway(b *testing.B, poolSize int) (*Gateway, string) {
+func newBenchGateway(b *testing.B, poolSize int) *Gateway {
 	b.Helper()
 	dest := echoServer(b).String()
 	rl := liveRelay(b, nil)
-	relayAddr := rl.Addr().String()
 
 	g, err := New(Config{
 		Dest:             dest,
-		Monitor:          &scriptedRanker{best: pathmon.MakeRoute(relayAddr), chosen: true},
+		Monitor:          &scriptedRanker{best: pathmon.MakeRoute(rl.Addr().String()), chosen: true},
 		Dialer:           &delayDialer{delay: benchHandshakeRTT},
 		PoolSize:         poolSize,
 		PoolFillInterval: time.Hour, // warm-up is explicit via Fill
@@ -51,23 +50,23 @@ func newBenchGateway(b *testing.B, poolSize int) (*Gateway, string) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = g.Close() })
-	return g, relayAddr
+	return g
 }
 
 // BenchmarkGatewayDialPooled measures relay dials riding warm pooled
 // sockets: the handshake RTT is prepaid by the filler (off-timer), so
 // each Dial costs one CONNECT round trip.
 func BenchmarkGatewayDialPooled(b *testing.B) {
-	g, relayAddr := newBenchGateway(b, 4)
+	g := newBenchGateway(b, 4)
 	g.Pool().Fill()
-	if g.Pool().Idle(relayAddr) == 0 {
+	if g.Pool().TotalIdle() == 0 {
 		b.Fatal("pool failed to warm")
 	}
 
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if g.Pool().Idle(relayAddr) == 0 {
+		if g.Pool().TotalIdle() == 0 {
 			b.StopTimer()
 			g.Pool().Fill()
 			b.StartTimer()
@@ -89,7 +88,7 @@ func BenchmarkGatewayDialPooled(b *testing.B) {
 // BenchmarkGatewayDialCold is the baseline: pooling off, every relay
 // dial pays the handshake RTT plus the CONNECT round trip.
 func BenchmarkGatewayDialCold(b *testing.B) {
-	g, _ := newBenchGateway(b, 0)
+	g := newBenchGateway(b, 0)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -429,10 +429,10 @@ func TestDialUsesWarmPool(t *testing.T) {
 		t.Fatal("pool not created with PoolSize > 0")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for g.Pool().Idle(rl.Addr().String()) < 2 && time.Now().Before(deadline) {
+	for g.Pool().TotalIdle() < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := g.Pool().Idle(rl.Addr().String()); got < 2 {
+	if got := g.Pool().TotalIdle(); got < 2 {
 		t.Fatalf("pool warmed %d conns, want 2", got)
 	}
 

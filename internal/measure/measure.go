@@ -138,11 +138,12 @@ func Throughput(conn io.Writer, duration time.Duration, chunkBytes int) (Result,
 // deadline tracks the context, so a blackholed path (zero-window peer,
 // silent middlebox) fails with a timeout instead of hanging the caller.
 // The context error is surfaced when cancellation caused the failure.
-func ThroughputContext(ctx context.Context, conn net.Conn, duration time.Duration, chunkBytes int) (Result, error) {
-	stop := guardDeadline(ctx, conn)
-	defer stop()
-	res, err := Throughput(conn, duration, chunkBytes)
-	return res, ctxError(ctx, err)
+func ThroughputContext(ctx context.Context, conn net.Conn, duration time.Duration, chunkBytes int) (res Result, err error) {
+	err = pipe.Bound(ctx, conn, func() error {
+		res, err = Throughput(conn, duration, chunkBytes)
+		return err
+	})
+	return res, err
 }
 
 // ErrTruncatedBurst reports a throughput burst that could not sustain its
@@ -201,55 +202,12 @@ func ProbeRTT(conn net.Conn, count int) (RTTStats, error) {
 // deadline tracks the context, so a dead or blackholed path fails within
 // the context budget instead of blocking a probe round forever. The
 // context error is surfaced when cancellation caused the failure.
-func ProbeRTTContext(ctx context.Context, conn net.Conn, count int, hist *obs.Histogram) (RTTStats, error) {
-	stop := guardDeadline(ctx, conn)
-	defer stop()
-	stats, err := ProbeRTTWith(conn, count, hist)
-	return stats, ctxError(ctx, err)
-}
-
-// guardDeadline pins conn's deadline to the context: the deadline (if any)
-// is applied immediately and early cancellation force-expires it. The
-// returned stop function releases the watcher and clears the deadline.
-func guardDeadline(ctx context.Context, conn net.Conn) (stop func()) {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	donec := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Force any blocked Read/Write to return immediately.
-			_ = conn.SetDeadline(time.Unix(1, 0))
-		case <-donec:
-		}
-	}()
-	return func() {
-		close(donec)
-		_ = conn.SetDeadline(time.Time{})
-	}
-}
-
-// ctxError substitutes the context's error for a deadline-induced I/O
-// error so callers see context.DeadlineExceeded/Canceled rather than a
-// generic timeout.
-func ctxError(ctx context.Context, err error) error {
-	if err == nil {
-		return nil
-	}
-	if ctx.Err() != nil {
-		return fmt.Errorf("measure: %w", ctx.Err())
-	}
-	// guardDeadline pins the connection deadline to the context deadline,
-	// and the netpoller can unblock the I/O a beat before the context's own
-	// timer fires ctx.Done. A timeout observed at or past the context
-	// deadline is therefore the context's doing even if ctx.Err() is still
-	// nil at this instant.
-	var ne net.Error
-	if dl, ok := ctx.Deadline(); ok && errors.As(err, &ne) && ne.Timeout() && !time.Now().Before(dl) {
-		return fmt.Errorf("measure: %w", context.DeadlineExceeded)
-	}
-	return err
+func ProbeRTTContext(ctx context.Context, conn net.Conn, count int, hist *obs.Histogram) (stats RTTStats, err error) {
+	err = pipe.Bound(ctx, conn, func() error {
+		stats, err = ProbeRTTWith(conn, count, hist)
+		return err
+	})
+	return stats, err
 }
 
 // ProbeRTTWith is ProbeRTT recording each sample into an obs histogram

@@ -16,10 +16,8 @@
 package multipath
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"strconv"
@@ -30,26 +28,6 @@ import (
 	"cronets/internal/obs"
 	"cronets/internal/pipe"
 )
-
-// Frame types.
-const (
-	frameData byte = 1
-	// frameAck carries the connection-level cumulative in-order count
-	// (frees retransmission state, gates Close).
-	frameAck byte = 2
-	frameFin byte = 3
-	// frameSubAck carries the count of segments received on the subflow
-	// it arrives on, regardless of ordering — the analog of subflow-level
-	// TCP ACKs, which keep a fast subflow sending while the reassembly
-	// point waits on a slow one.
-	frameSubAck byte = 4
-	// frameJoin is the reconnect handshake: seq carries the channel ID,
-	// length the subflow index. The receiver echoes it to accept.
-	frameJoin byte = 5
-)
-
-// frame header: type(1) + seq(8) + length(4).
-const headerSize = 13
 
 // SubflowDialer re-establishes the transport connection for a dead
 // subflow. It is called from the sender's reconnect loop and should bound
@@ -353,9 +331,7 @@ func (s *Sender) Close() error {
 	close(s.stopc)
 
 	// Send FIN on every alive subflow (receivers tolerate duplicates).
-	fin := make([]byte, headerSize)
-	fin[0] = frameFin
-	binary.BigEndian.PutUint64(fin[1:9], finSeq)
+	fin := header{typ: frameFin, seq: finSeq}.put(make([]byte, headerSize))
 	for i, c := range conns {
 		if aliveSnapshot[i] {
 			s.wmu[i].Lock()
@@ -409,7 +385,7 @@ func (s *Sender) waitWithTimeout(d time.Duration) {
 // a rejoin supersedes this incarnation.
 func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
 	defer s.wg.Done()
-	hdr := make([]byte, headerSize)
+	var buf [headerSize]byte
 	for {
 		s.mu.Lock()
 		for (len(s.pending) == 0 || s.inflightLocked(i) >= s.cfg.SubflowInflight) &&
@@ -441,9 +417,7 @@ func (s *Sender) writeLoop(i int, epoch uint64, conn net.Conn) {
 		segLen := len(seg.data)
 		s.mu.Unlock()
 
-		hdr[0] = frameData
-		binary.BigEndian.PutUint64(hdr[1:9], seg.seq)
-		binary.BigEndian.PutUint32(hdr[9:13], uint32(segLen))
+		hdr := header{typ: frameData, seq: seg.seq, n: uint32(segLen)}.put(buf[:])
 		s.wmu[i].Lock()
 		_, err := conn.Write(hdr)
 		if err == nil {
@@ -481,19 +455,16 @@ func (s *Sender) inflightLocked(i int) int {
 // ackLoop reads cumulative ACKs arriving on subflow slot i's incarnation.
 func (s *Sender) ackLoop(i int, epoch uint64, conn net.Conn) {
 	defer s.wg.Done()
-	hdr := make([]byte, headerSize)
+	var buf [headerSize]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		h, err := readHeader(conn, &buf, ackFrames, s.cfg.MaxSegBytes)
+		if err != nil {
 			s.subflowDied(i, epoch)
 			return
 		}
-		if hdr[0] != frameAck && hdr[0] != frameSubAck {
-			s.subflowDied(i, epoch)
-			return
-		}
-		value := binary.BigEndian.Uint64(hdr[1:9])
+		value := h.seq
 		s.mu.Lock()
-		switch hdr[0] {
+		switch h.typ {
 		case frameAck:
 			if value > s.cumAcked {
 				for seq := s.cumAcked; seq < value; seq++ {
@@ -629,20 +600,18 @@ func (s *Sender) reconnectDone(ok bool) {
 // joinHandshake identifies the reconnected socket to the receiver:
 // channel ID + subflow index out, the same frame echoed back on accept.
 func (s *Sender) joinHandshake(conn net.Conn, i int) error {
-	hdr := make([]byte, headerSize)
-	hdr[0] = frameJoin
-	binary.BigEndian.PutUint64(hdr[1:9], s.cfg.ChannelID)
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(i))
+	var buf [headerSize]byte
+	hdr := header{typ: frameJoin, seq: s.cfg.ChannelID, n: uint32(i)}.put(buf[:])
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.JoinTimeout))
 	if _, err := conn.Write(hdr); err != nil {
 		return fmt.Errorf("multipath: send join: %w", err)
 	}
-	resp := make([]byte, headerSize)
-	if _, err := io.ReadFull(conn, resp); err != nil {
+	resp, err := readHeader(conn, &buf, joinFrames, s.cfg.MaxSegBytes)
+	if err != nil {
 		return fmt.Errorf("multipath: read join ack: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	if resp[0] != frameJoin || binary.BigEndian.Uint64(resp[1:9]) != s.cfg.ChannelID {
+	if resp.seq != s.cfg.ChannelID {
 		return ErrJoinRejected
 	}
 	return nil

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cronets/internal/leakcheck"
 )
 
 // pipes builds n in-process subflow pairs.
@@ -136,6 +138,7 @@ func TestManySizesIdentity(t *testing.T) {
 }
 
 func TestEmptyCloseOnly(t *testing.T) {
+	leakcheck.Check(t)
 	s, r := pipes(2)
 	got := transfer(t, s, r, nil, Config{})
 	if len(got) != 0 {
@@ -144,6 +147,7 @@ func TestEmptyCloseOnly(t *testing.T) {
 }
 
 func TestWriteAfterClose(t *testing.T) {
+	leakcheck.Check(t)
 	sConns, rConns := pipes(1)
 	s, err := NewSender(sConns, Config{})
 	if err != nil {
@@ -167,6 +171,7 @@ func TestWriteAfterClose(t *testing.T) {
 // corrupt data — its unacknowledged segments are retransmitted on the
 // survivor.
 func TestSubflowFailover(t *testing.T) {
+	leakcheck.Check(t)
 	sConns, rConns := tcpPairs(t, 2)
 	cfg := Config{MaxSegBytes: 4 << 10}
 	s, err := NewSender(sConns, cfg)
@@ -219,6 +224,7 @@ func TestSubflowFailover(t *testing.T) {
 // TestAllSubflowsDead: with every path gone and data outstanding, Write
 // reports the failure.
 func TestAllSubflowsDead(t *testing.T) {
+	leakcheck.Check(t)
 	sConns, rConns := tcpPairs(t, 2)
 	s, err := NewSender(sConns, Config{CloseTimeout: time.Second})
 	if err != nil {
@@ -278,6 +284,7 @@ func TestCumAckedProgress(t *testing.T) {
 }
 
 func TestDoubleClose(t *testing.T) {
+	leakcheck.Check(t)
 	sConns, rConns := pipes(1)
 	s, err := NewSender(sConns, Config{})
 	if err != nil {

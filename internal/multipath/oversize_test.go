@@ -1,7 +1,6 @@
 package multipath
 
 import (
-	"encoding/binary"
 	"runtime"
 	"testing"
 	"time"
@@ -32,10 +31,7 @@ func TestOversizedFrameAllocatesNothing(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&msBefore)
 
-	hdr := make([]byte, headerSize)
-	hdr[0] = frameData
-	binary.BigEndian.PutUint64(hdr[1:9], 0)
-	binary.BigEndian.PutUint32(hdr[9:13], 0xFFFFFFFF)
+	hdr := header{typ: frameData, n: 0xFFFFFFFF}.put(make([]byte, headerSize))
 	if _, err := sConns[0].Write(hdr); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package multipath
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -186,18 +185,14 @@ func (r *Receiver) Close() error {
 // and puts the socket into service as the slot's next incarnation. The
 // connection is closed on any error.
 func (r *Receiver) Join(conn net.Conn) error {
-	hdr := make([]byte, headerSize)
+	var buf [headerSize]byte
 	_ = conn.SetDeadline(time.Now().Add(r.cfg.JoinTimeout))
-	if _, err := io.ReadFull(conn, hdr); err != nil {
+	h, err := readHeader(conn, &buf, joinFrames, r.cfg.MaxSegBytes)
+	if err != nil {
 		_ = conn.Close()
 		return fmt.Errorf("multipath: read join: %w", err)
 	}
-	if hdr[0] != frameJoin {
-		_ = conn.Close()
-		return fmt.Errorf("multipath: expected JOIN, got frame type %d", hdr[0])
-	}
-	channel := binary.BigEndian.Uint64(hdr[1:9])
-	idx := int(binary.BigEndian.Uint32(hdr[9:13]))
+	channel, idx := h.seq, int(h.n)
 	r.mu.Lock()
 	ok := !r.closed && channel == r.cfg.ChannelID && idx >= 0 && idx < len(r.conns)
 	r.mu.Unlock()
@@ -205,7 +200,7 @@ func (r *Receiver) Join(conn net.Conn) error {
 		_ = conn.Close()
 		return fmt.Errorf("%w: channel %d subflow %d", ErrJoinRejected, channel, idx)
 	}
-	if _, err := conn.Write(hdr); err != nil {
+	if _, err := conn.Write(buf[:]); err != nil {
 		_ = conn.Close()
 		return fmt.Errorf("multipath: write join ack: %w", err)
 	}
@@ -246,45 +241,31 @@ func (r *Receiver) Join(conn net.Conn) error {
 // readLoop consumes frames from one incarnation of subflow slot i.
 func (r *Receiver) readLoop(conn net.Conn, i int, epoch uint64) {
 	defer r.wg.Done()
-	hdr := make([]byte, headerSize)
+	var buf [headerSize]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			r.subflowDied(i, epoch)
-			return
-		}
-		switch hdr[0] {
-		case frameData:
-			seq := binary.BigEndian.Uint64(hdr[1:9])
-			length := binary.BigEndian.Uint32(hdr[9:13])
-			// The 32-bit wire length is attacker-controlled; it must be
-			// validated BEFORE any buffer is fetched, or a 13-byte frame
-			// claiming 4 GiB would cost a 4 GiB allocation.
-			if int64(length) > int64(r.cfg.MaxSegBytes) {
-				_ = conn.Close()
-				r.subflowDied(i, epoch)
-				return
-			}
-			data := pipe.Get(int(length))
-			if _, err := io.ReadFull(conn, data); err != nil {
-				pipe.Put(data)
-				r.subflowDied(i, epoch)
-				return
-			}
-			r.ingest(i, epoch, seq, data)
-		case frameFin:
-			seq := binary.BigEndian.Uint64(hdr[1:9])
-			r.mu.Lock()
-			r.finSeen = true
-			r.finSeq = seq
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			// Final ACK so the sender's Close completes promptly.
-			r.sendAck(i)
-		default:
+		h, err := readHeader(conn, &buf, dataFrames, r.cfg.MaxSegBytes)
+		if err != nil {
 			_ = conn.Close()
 			r.subflowDied(i, epoch)
 			return
 		}
+		if h.typ == frameFin {
+			r.mu.Lock()
+			r.finSeen = true
+			r.finSeq = h.seq
+			r.cond.Broadcast()
+			r.mu.Unlock()
+			// Final ACK so the sender's Close completes promptly.
+			r.sendAck(i)
+			continue
+		}
+		data := pipe.Get(int(h.n))
+		if _, err := io.ReadFull(conn, data); err != nil {
+			pipe.Put(data)
+			r.subflowDied(i, epoch)
+			return
+		}
+		r.ingest(i, epoch, h.seq, data)
 	}
 }
 
@@ -393,11 +374,7 @@ func (r *Receiver) sendAck(i int) {
 func (r *Receiver) writeAck(i int, conn net.Conn, frameType byte, value uint64) error {
 	r.wmu[i].Lock()
 	defer r.wmu[i].Unlock()
-	ack := r.ackBuf[i]
-	ack[0] = frameType
-	binary.BigEndian.PutUint64(ack[1:9], value)
-	binary.BigEndian.PutUint32(ack[9:13], 0)
-	_, err := conn.Write(ack)
+	_, err := conn.Write(header{typ: frameType, seq: value}.put(r.ackBuf[i]))
 	return err
 }
 

@@ -2,7 +2,6 @@ package multipath
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -10,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cronets/internal/leakcheck"
 	"cronets/internal/obs"
 )
 
@@ -27,6 +27,7 @@ func joinableReceiver(t *testing.T, n int, cfg Config) (*Receiver, []net.Conn, n
 	var senderConns, receiverConns []net.Conn
 	accepted := make(chan net.Conn)
 	go func() {
+		defer close(accepted)
 		for {
 			c, err := ln.Accept()
 			if err != nil {
@@ -61,6 +62,7 @@ func joinableReceiver(t *testing.T, n int, cfg Config) (*Receiver, []net.Conn, n
 // via the JOIN handshake, and the transfer completes byte-identical with
 // the subflow back in service.
 func TestSubflowRejoin(t *testing.T) {
+	leakcheck.Check(t)
 	reg := obs.NewRegistry()
 	cfg := Config{
 		MaxSegBytes:      4 << 10,
@@ -141,6 +143,7 @@ func TestSubflowRejoin(t *testing.T) {
 // TestReconnectGivesUp: when the dialer keeps failing, the sender retries
 // its bounded attempts and then reports all subflows dead.
 func TestReconnectGivesUp(t *testing.T) {
+	leakcheck.Check(t)
 	sConns, rConns := tcpPairs(t, 1)
 	cfg := Config{
 		ChannelID:         1,
@@ -186,11 +189,7 @@ func TestJoinRejectsWrongChannel(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	go func() {
-		hdr := make([]byte, headerSize)
-		hdr[0] = frameJoin
-		binary.BigEndian.PutUint64(hdr[1:9], 99) // wrong channel
-		binary.BigEndian.PutUint32(hdr[9:13], 0)
-		_, _ = a.Write(hdr)
+		_, _ = a.Write(header{typ: frameJoin, seq: 99}.put(make([]byte, headerSize))) // wrong channel
 	}()
 	if err := r.Join(b); !errors.Is(err, ErrJoinRejected) {
 		t.Errorf("Join = %v, want ErrJoinRejected", err)
@@ -215,11 +214,8 @@ func TestJoinRejectsBadIndex(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	go func() {
-		hdr := make([]byte, headerSize)
-		hdr[0] = frameJoin
-		binary.BigEndian.PutUint64(hdr[1:9], 7)
-		binary.BigEndian.PutUint32(hdr[9:13], 5) // slot 5 of a 1-subflow channel
-		_, _ = a.Write(hdr)
+		// Slot 5 of a 1-subflow channel.
+		_, _ = a.Write(header{typ: frameJoin, seq: 7, n: 5}.put(make([]byte, headerSize)))
 	}()
 	if err := r.Join(b); !errors.Is(err, ErrJoinRejected) {
 		t.Errorf("Join = %v, want ErrJoinRejected", err)
@@ -239,11 +235,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 	defer r.Close()
 
 	go func() {
-		hdr := make([]byte, headerSize)
-		hdr[0] = frameData
-		binary.BigEndian.PutUint64(hdr[1:9], 0)
-		binary.BigEndian.PutUint32(hdr[9:13], 0xfffffff0) // ~4 GiB claim
-		_, _ = a.Write(hdr)
+		// A ~4 GiB claim.
+		_, _ = a.Write(header{typ: frameData, n: 0xfffffff0}.put(make([]byte, headerSize)))
 	}()
 	done := make(chan error, 1)
 	go func() {
@@ -324,6 +317,7 @@ func TestReceiverBackpressure(t *testing.T) {
 // down after the FIN — pre-fix every ackLoop's read error fired
 // subflowDied.
 func TestCleanCloseNoSpuriousFailover(t *testing.T) {
+	leakcheck.Check(t)
 	reg := obs.NewRegistry()
 	sConns, rConns := tcpPairs(t, 2)
 	cfg := Config{Obs: reg}

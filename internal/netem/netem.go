@@ -7,7 +7,6 @@
 package netem
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,6 +19,7 @@ import (
 	"cronets/internal/flowtrace"
 	"cronets/internal/obs"
 	"cronets/internal/pipe"
+	"cronets/internal/relay"
 )
 
 // Impairment describes one direction's shaping.
@@ -50,10 +50,12 @@ type Config struct {
 	// instrumentation).
 	Obs *obs.Registry
 	// Tracer records a netem.shape span per connection whose first
-	// upstream bytes carry a relay CONNECT preamble with a sampled trace
-	// context — the shaper is a transparent middlebox, so it sniffs the
-	// passing handshake instead of being handed a context. Nil disables
-	// tracing; untraced connections cost one prefix check.
+	// upstream bytes carry a relay handshake with a sampled trace context
+	// — the shaper is a transparent middlebox, so it sniffs the passing
+	// handshake instead of being handed a context. Nil disables tracing;
+	// with a tracer, each connection's first chunk costs one parse of its
+	// first line, which allocates nothing unless it carries a sampled
+	// context.
 	Tracer *flowtrace.Tracer
 }
 
@@ -240,48 +242,31 @@ func (l link) handle(down net.Conn) {
 }
 
 // traceSniff extracts a trace context from the first upstream chunk of a
-// shaped connection, if it opens with a relay CONNECT preamble carrying
-// one. The shaper is a transparent middlebox: it joins traces it can see
-// on the wire and stays silent otherwise.
+// shaped connection, if it opens with a relay handshake carrying one. The
+// shaper is a transparent middlebox: it joins traces it can see on the
+// wire and stays silent otherwise.
 type traceSniff struct {
 	tried bool
 	span  *flowtrace.Span
 }
 
-// connectPrefix is the relay handshake verb a sniffable preamble opens
-// with; traceToken introduces the trace context on that line.
-var (
-	connectPrefix = []byte("CONNECT ")
-	traceToken    = []byte(" TP=")
-)
-
-// onUpChunk inspects the first client->target chunk only; every later
-// chunk costs a single boolean check. It allocates nothing unless a
-// sampled context is found.
+// onUpChunk inspects the first client->target chunk only, with the
+// relay's own request parser; every later chunk costs a single boolean
+// check. It allocates nothing unless it finds a sampled context.
 func (s *traceSniff) onUpChunk(tracer *flowtrace.Tracer, chunk []byte) {
 	if s.tried {
 		return
 	}
 	s.tried = true
-	if tracer == nil || !bytes.HasPrefix(chunk, connectPrefix) {
+	if tracer == nil {
 		return
 	}
-	nl := bytes.IndexByte(chunk, '\n')
-	if nl < 0 {
-		return
-	}
-	line := chunk[:nl]
-	i := bytes.Index(line, traceToken)
-	if i < 0 {
-		return
-	}
-	tok := bytes.TrimSpace(line[i+len(traceToken):])
-	tc, ok := flowtrace.DecodeTextBytes(tok)
-	if !ok {
+	target, tc, err := relay.ParseRequest(chunk)
+	if err != nil || !tc.Sampled {
 		return
 	}
 	s.span = tracer.Continue("netem.shape", tc)
-	s.span.SetDetail(string(line[len(connectPrefix):i]))
+	s.span.SetDetail(string(target))
 }
 
 // errBlackholed aborts a parked direction once the proxy shuts down.

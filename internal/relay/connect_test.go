@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cronets/internal/pipe"
 )
 
 // failWriteConn fails every write; Close is observable.
@@ -153,6 +155,9 @@ func TestConnectCancelMidPreamble(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if pipe.IsTimeout(err) {
+		t.Errorf("cancellation misclassified as a timeout: %v", err)
+	}
 	if waited := time.Since(start); waited > 3*time.Second {
 		t.Errorf("Connect took %v to honor cancellation", waited)
 	}
@@ -173,6 +178,9 @@ func TestConnectDeadlineMidPreamble(t *testing.T) {
 	}
 	if errors.Is(err, ErrRefused) {
 		t.Errorf("timeout misclassified as refusal: %v", err)
+	}
+	if !pipe.IsTimeout(err) {
+		t.Errorf("deadline not classified as a timeout: %v", err)
 	}
 }
 

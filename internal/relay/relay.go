@@ -14,8 +14,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"os"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -239,18 +237,20 @@ func (r *Relay) handle(down net.Conn) error {
 	var tc flowtrace.Context
 	var br *bufio.Reader
 	if target == "" {
-		// CONNECT handshake: "CONNECT host:port [TP=<ctx>]\n" -> "OK\n".
-		// The read deadline is the relay's IdleTimeout, not DialTimeout:
-		// a pooled pre-CONNECT socket legitimately sits quiet until its
-		// owner checks it out, and only then sends the preamble.
-		br = bufio.NewReader(down)
+		// CONNECT handshake (wire.go). The read deadline is the relay's
+		// IdleTimeout, not DialTimeout: a pooled pre-CONNECT socket
+		// legitimately sits quiet until its owner checks it out, and only
+		// then sends the preamble. The reader holds one maximal request
+		// line: a client that sends that much with no LF gets a full
+		// buffer, which the parser refuses as overlong.
+		br = bufio.NewReaderSize(down, maxRequestLen)
 		if r.cfg.IdleTimeout > 0 {
 			_ = down.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout))
 		}
-		line, err := br.ReadString('\n')
+		line, err := br.ReadSlice('\n')
 		r.pending.Add(-1)
-		if err != nil {
-			if errors.Is(err, io.EOF) && line == "" {
+		if err != nil && !errors.Is(err, bufio.ErrBufferFull) {
+			if errors.Is(err, io.EOF) && len(line) == 0 {
 				// A warm socket closed cleanly before sending any
 				// preamble: normal pool churn (TTL expiry, pool
 				// shutdown), not an error.
@@ -259,20 +259,21 @@ func (r *Relay) handle(down net.Conn) error {
 			return fmt.Errorf("relay: read connect line: %w", err)
 		}
 		_ = down.SetReadDeadline(time.Time{})
-		t, lineCtx, err := ParseConnectTrace(line)
+		hostPort, lineCtx, err := ParseRequest(line)
 		if err != nil {
-			_, _ = io.WriteString(down, "ERR bad request\n")
+			_ = writeReply(down, replyBadRequest)
 			return err
 		}
+		t := string(hostPort)
 		if !r.cfg.ACL.Allow(t) {
-			_, _ = io.WriteString(down, "ERR forbidden\n")
+			_ = writeReply(down, replyForbidden)
 			r.scope.Event(obs.EventACLReject, t)
 			return fmt.Errorf("relay: ACL forbids %s: %w", t, errACLRejected)
 		}
 		// The preamble is in: this is a real flow now, so it must claim a
 		// MaxConns slot like any forward-mode connection.
 		if !claim(&r.active, r.cfg.MaxConns) {
-			_, _ = io.WriteString(down, "ERR overloaded\n")
+			_ = writeReply(down, replyOverloaded)
 			r.overloaded.Inc()
 			return nil
 		}
@@ -296,7 +297,7 @@ func (r *Relay) handle(down net.Conn) error {
 		dialSpan.SetDetail("fail " + target)
 		dialSpan.End()
 		if br != nil {
-			_, _ = io.WriteString(down, "ERR dial failed\n")
+			_ = writeReply(down, replyDialFailed)
 		}
 		r.scope.Event(obs.EventDial, "fail "+target)
 		return fmt.Errorf("relay: dial %s: %w", target, err)
@@ -310,16 +311,16 @@ func (r *Relay) handle(down net.Conn) error {
 	defer r.group.Untrack(up)
 
 	if br != nil {
-		if _, err := io.WriteString(down, "OK\n"); err != nil {
+		if err := writeReply(down, replyOK); err != nil {
 			return fmt.Errorf("relay: write connect reply: %w", err)
 		}
 	}
 
-	var downReader io.Reader = down
 	if br != nil && br.Buffered() > 0 {
-		downReader = io.MultiReader(io.LimitReader(br, int64(br.Buffered())), down)
+		// Replay the bytes a client pipelined behind its CONNECT line.
+		down = pipe.WithReader(down, io.MultiReader(io.LimitReader(br, int64(br.Buffered())), down))
 	}
-	return r.splice(down, downReader, up, tc)
+	return r.splice(down, up, tc)
 }
 
 // watchAbort watches a CONNECT-mode downstream for the client hanging up
@@ -336,7 +337,7 @@ func (r *Relay) watchAbort(down net.Conn, br *bufio.Reader, cancel context.Cance
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := br.Peek(1); err != nil && !isTimeout(err) {
+		if _, err := br.Peek(1); err != nil && !pipe.IsTimeout(err) {
 			// EOF / reset: the client is gone. A timeout is stop()
 			// reclaiming the connection, not a hangup.
 			cancel()
@@ -351,12 +352,6 @@ func (r *Relay) watchAbort(down net.Conn, br *bufio.Reader, cancel context.Cance
 
 // aLongTimeAgo is an expired deadline used to unblock in-flight reads.
 var aLongTimeAgo = time.Unix(1, 0)
-
-// isTimeout reports whether err is a read-deadline expiry.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
 
 // dialUpstream dials the target, retrying transient failures (refused,
 // timeout) up to DialRetries times with jittered exponential backoff —
@@ -409,12 +404,7 @@ func backoffJitter(d time.Duration) time.Duration {
 // timeouts and refused connections pass, everything else (unreachable
 // network, bad address) fails fast.
 func transientDialError(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, context.DeadlineExceeded)
+	return pipe.IsTimeout(err) || errors.Is(err, syscall.ECONNREFUSED)
 }
 
 // splice runs the shared data-plane loop over the connection pair: pooled
@@ -422,12 +412,7 @@ func transientDialError(err error) bool {
 // timeout, all from internal/pipe. For sampled flows it records a
 // relay.splice span (bytes, first-byte latency); unsampled flows leave
 // the loop's options exactly as before.
-func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flowtrace.Context) error {
-	a := down
-	if downReader != io.Reader(down) {
-		// Replay handshake bytes the CONNECT reader over-read.
-		a = pipe.WithReader(down, downReader)
-	}
+func (r *Relay) splice(down, up net.Conn, tc flowtrace.Context) error {
 	opts := pipe.Options{
 		BufferBytes: r.cfg.BufferBytes,
 		IdleTimeout: r.cfg.IdleTimeout,
@@ -447,48 +432,11 @@ func (r *Relay) splice(down net.Conn, downReader io.Reader, up net.Conn, tc flow
 			}
 		}
 	}
-	res, err := pipe.Bidirectional(context.Background(), a, up, opts)
+	res, err := pipe.Bidirectional(context.Background(), down, up, opts)
 	span.AddBytes(res.AToB + res.BToA)
 	span.End()
 	return err
 }
-
-// tracePrefix introduces the optional trace-context token on a CONNECT
-// line: "CONNECT host:port TP=<48 hex chars>".
-const tracePrefix = "TP="
-
-// ParseConnectTrace parses a "CONNECT host:port [TP=<ctx>]" request
-// line, returning the target and the propagated trace context (zero when
-// absent or malformed — a bad trace token never fails the handshake,
-// tracing is best-effort).
-func ParseConnectTrace(line string) (string, flowtrace.Context, error) {
-	line = strings.TrimSpace(line)
-	const prefix = "CONNECT "
-	if !strings.HasPrefix(line, prefix) {
-		return "", flowtrace.Context{}, fmt.Errorf("relay: malformed request %q", line)
-	}
-	rest := strings.TrimSpace(strings.TrimPrefix(line, prefix))
-	target := rest
-	var tc flowtrace.Context
-	if i := strings.IndexByte(rest, ' '); i >= 0 {
-		target = rest[:i]
-		if tok := strings.TrimSpace(rest[i+1:]); strings.HasPrefix(tok, tracePrefix) {
-			tc, _ = flowtrace.DecodeText(strings.TrimPrefix(tok, tracePrefix))
-		}
-	}
-	host, port, err := net.SplitHostPort(target)
-	if err != nil || host == "" || port == "" {
-		return "", flowtrace.Context{}, fmt.Errorf("relay: bad target %q", target)
-	}
-	return target, tc, nil
-}
-
-// ErrRefused marks a CONNECT the relay answered with an ERR line: the
-// relay's socket is alive but it declined the flow (ACL forbids the
-// target, MaxConns overload, upstream dial failure). Callers classify it
-// with errors.Is — it is path-down evidence of a different kind than a
-// dead socket or a dial timeout, and pathmon counts it separately.
-var ErrRefused = errors.New("relay: connect refused")
 
 // Connect runs the client half of the CONNECT handshake for target on an
 // already-open connection to a relay, returning the relayed connection —
@@ -499,55 +447,21 @@ var ErrRefused = errors.New("relay: connect refused")
 // force-expires the socket so the caller returns promptly. ctx also
 // carries the optional trace context (flowtrace.NewGoContext), which is
 // propagated to the relay in the CONNECT preamble so the relay's spans
-// join the trace. On error the connection is closed. Bytes the relay sent
-// right behind its OK reply (a server-first banner) are replayed by the
-// returned connection, which still forwards TCP half-close.
+// join the trace. On error the connection is closed. The reply is read
+// to its last byte and no further, so the returned connection is conn
+// itself: bytes the relay sends behind its OK and TCP half-close both
+// pass through untouched.
 func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	stopWatch := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(aLongTimeAgo) })
-	defer stopWatch()
-	var err error
-	if tc := flowtrace.FromGoContext(ctx); tc.Sampled {
-		_, err = fmt.Fprintf(conn, "CONNECT %s %s%s\n", target, tracePrefix, tc.EncodeText())
-	} else {
-		_, err = fmt.Fprintf(conn, "CONNECT %s\n", target)
-	}
+	err := pipe.Bound(ctx, conn, func() error {
+		req := appendRequest(make([]byte, 0, maxRequestLen), target, flowtrace.FromGoContext(ctx))
+		if _, err := conn.Write(req); err != nil {
+			return fmt.Errorf("relay: send connect: %w", err)
+		}
+		return readReply(conn)
+	})
 	if err != nil {
 		_ = conn.Close()
-		return nil, connectAbortErr(ctx, fmt.Errorf("relay: send connect: %w", err))
-	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		_ = conn.Close()
-		return nil, connectAbortErr(ctx, fmt.Errorf("relay: read connect reply: %w", err))
-	}
-	_ = conn.SetDeadline(time.Time{})
-	if strings.TrimSpace(line) != "OK" {
-		_ = conn.Close()
-		return nil, fmt.Errorf("%w: %s", ErrRefused, strings.TrimSpace(line))
-	}
-	if br.Buffered() > 0 {
-		return pipe.WithReader(conn, br), nil
+		return nil, err
 	}
 	return conn, nil
-}
-
-// connectAbortErr substitutes the context's error for the I/O error it
-// induced: a cancellation-expired deadline surfaces as context.Canceled,
-// not as a generic timeout.
-func connectAbortErr(ctx context.Context, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return fmt.Errorf("relay: connect aborted: %w", ctxErr)
-	}
-	// The socket deadline mirrors ctx's deadline, and the read can expire
-	// a hair before the context's own timer fires: classify that as the
-	// deadline too, so callers (pathmon) never see a raw I/O timeout for
-	// a context-bounded handshake.
-	if _, hasDL := ctx.Deadline(); hasDL && errors.Is(err, os.ErrDeadlineExceeded) {
-		return fmt.Errorf("relay: connect aborted: %w", context.DeadlineExceeded)
-	}
-	return err
 }

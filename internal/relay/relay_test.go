@@ -168,11 +168,13 @@ func TestConnectModeDialFailure(t *testing.T) {
 	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_errors_total") > 0 })
 }
 
-// TestParseConnectTrace: the CONNECT preamble parser returns the target
+// TestParseConnectTrace: the CONNECT request parser returns the target
 // and, when present and well formed, the propagated trace context; a bad
 // trace token never fails the handshake.
 func TestParseConnectTrace(t *testing.T) {
 	tc := flowtrace.Context{Trace: flowtrace.TraceID{1}, Span: 2, Sampled: true}
+	unsampled := tc
+	unsampled.Sampled = false
 	tests := []struct {
 		line    string
 		want    string
@@ -182,22 +184,31 @@ func TestParseConnectTrace(t *testing.T) {
 		{line: "CONNECT 10.0.0.1:80\n", want: "10.0.0.1:80"},
 		{line: "CONNECT example.com:443", want: "example.com:443"},
 		{line: "CONNECT [::1]:80\n", want: "[::1]:80"},
-		{line: "CONNECT 10.0.0.1:80 TP=" + tc.EncodeText() + "\n", want: "10.0.0.1:80", wantTC: tc},
+		{line: "CONNECT 10.0.0.1:80\r\n", want: "10.0.0.1:80"},
+		{line: "CONNECT 10.0.0.1:80\npipelined bytes", want: "10.0.0.1:80"},
+		{line: "CONNECT 10.0.0.1:80 TP=" + string(tc.AppendText(nil)) + "\n", want: "10.0.0.1:80", wantTC: tc},
+		{line: "CONNECT 10.0.0.1:80 TP=" + string(unsampled.AppendText(nil)) + "\n", want: "10.0.0.1:80"},
 		{line: "CONNECT 10.0.0.1:80 TP=garbage\n", want: "10.0.0.1:80"},
 		{line: "CONNECT 10.0.0.1:80 extra\n", want: "10.0.0.1:80"},
+		{line: "CONNECT " + strings.Repeat("a", 253) + ":65535 TP=" + string(tc.AppendText(nil)) + "\n",
+			want: strings.Repeat("a", 253) + ":65535", wantTC: tc},
+		{line: "CONNECT " + strings.Repeat("a", maxRequestLen) + ":80\n", wantErr: true},
+		// A full read buffer with no LF, even one ending in CR.
+		{line: "CONNECT a:1 " + strings.Repeat("x", maxRequestLen-13) + "\r", wantErr: true},
 		{line: "CONNECT nohost\n", wantErr: true},
 		{line: "CONNECT :80\n", wantErr: true},
+		{line: "CONNECT a\x00b:80\n", wantErr: true},
 		{line: "FETCH 10.0.0.1:80\n", wantErr: true},
 		{line: "", wantErr: true},
 	}
 	for _, tt := range tests {
-		got, gotTC, err := ParseConnectTrace(tt.line)
+		got, gotTC, err := ParseRequest([]byte(tt.line))
 		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseConnectTrace(%q) err = %v", tt.line, err)
+			t.Errorf("ParseRequest(%.40q) err = %v", tt.line, err)
 			continue
 		}
-		if got != tt.want || gotTC != tt.wantTC {
-			t.Errorf("ParseConnectTrace(%q) = %q, %+v; want %q, %+v", tt.line, got, gotTC, tt.want, tt.wantTC)
+		if string(got) != tt.want || gotTC != tt.wantTC {
+			t.Errorf("ParseRequest(%.40q) = %q, %+v; want %q, %+v", tt.line, got, gotTC, tt.want, tt.wantTC)
 		}
 	}
 }
