@@ -24,11 +24,14 @@
 #   make fuzz-smoke   run every Fuzz* target in the tree for 3s each: the
 #                     CONNECT request and reply, trace contexts, tunnel
 #                     frames and packets, and the multipath frame header
+#   make cross        vet the tree for darwin and build it for windows, so
+#                     the non-Linux stubs (pipe's copy-loop-only splice
+#                     path, connpool's liveness probe) keep compiling
 
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke perfbench-check fuzz-smoke
+.PHONY: build test test-short race vet lint fmt check bench trace-smoke bench-smoke perfbench-check fuzz-smoke cross
 
 build:
 	$(GO) build ./...
@@ -106,3 +109,10 @@ fuzz-smoke:
 			$(GO) test -run=NONE -fuzz="^$$t\$$" -fuzztime=3s $$pkg || exit 1; \
 		done; \
 	done
+
+# CI runs every target above on Linux, so nothing else compiles the
+# non-Linux splice stub (darwin) or connpool's non-Unix liveness probe
+# (windows).
+cross:
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) build ./...

@@ -2,14 +2,19 @@ package pipe
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 )
 
 // BenchmarkPipeBidirectional measures one spliced connection per
-// iteration: dial a splice bridging to an echo server, push 1 MiB through
-// both directions, tear down. The splice itself must not allocate per
-// flow beyond fixed goroutine overhead — its buffers come from the pool.
+// iteration: dial a splice bridging to an echo server, push the payload
+// through both directions, tear down. The copy loop's buffers come from
+// the pool and a direction that switches to kernel splice returns its
+// buffer first, so a flow must not allocate beyond fixed goroutine and
+// per-switch overhead. A direction switches once a read fills the
+// buffer, which 64 MiB always does and 1 MiB often does; splices/op
+// reports how many of the two directions switched.
 func BenchmarkPipeBidirectional(b *testing.B) {
 	echoLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -59,25 +64,33 @@ func BenchmarkPipeBidirectional(b *testing.B) {
 					return
 				}
 				defer up.Close()
-				_, _ = Bidirectional(context.Background(), down, up, Options{
-					BufferBytes: 256 << 10,
-				})
+				_, _ = Bidirectional(context.Background(), down, up, Options{})
 			}(down)
 		}
 	}()
 
-	const total = 1 << 20
+	for _, total := range []int{1 << 20, 64 << 20} {
+		b.Run(fmt.Sprintf("%dMiB", total>>20), func(b *testing.B) {
+			benchFlows(b, spliceLn.Addr().String(), total)
+		})
+	}
+}
+
+// benchFlows runs b.N flows of total bytes each way through the splice
+// at addr.
+func benchFlows(b *testing.B, addr string, total int) {
 	payload := make([]byte, 64<<10)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	drain := make([]byte, 64<<10)
 
-	b.SetBytes(total)
+	before := splices.Load()
+	b.SetBytes(int64(total))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conn, err := net.Dial("tcp", spliceLn.Addr().String())
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,4 +122,6 @@ func BenchmarkPipeBidirectional(b *testing.B) {
 		}
 		_ = conn.Close()
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(splices.Load()-before)/float64(b.N), "splices/op")
 }

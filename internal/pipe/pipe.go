@@ -80,7 +80,7 @@ type Result struct {
 }
 
 // closeWriter and closeReader are the TCP half-close surfaces
-// (*net.TCPConn implements both; wrappers forward them).
+// (*net.TCPConn implements both).
 type closeWriter interface{ CloseWrite() error }
 type closeReader interface{ CloseRead() error }
 
@@ -103,9 +103,12 @@ func closeRead(c net.Conn) {
 // drain — the split-TCP teardown that keeps in-flight data alive; a read
 // or write error closes both connections to unblock the peer direction.
 // Context cancellation and the idle timeout also close both connections.
-// Bidirectional does not close the connections on a clean finish — the
-// caller owns them — but after a full bidirectional EOF both are
-// half-closed in both directions and therefore dead.
+// A direction between two TCP conns with no Hook moves to kernel splice
+// once a read fills its buffer (Linux only), with the same half-close,
+// idle, metering and teardown semantics. Bidirectional does not close
+// the connections on a clean finish — the caller owns them — but after a
+// full bidirectional EOF both are half-closed in both directions and
+// therefore dead.
 //
 // The returned error is nil for clean teardown (EOF, idle, context or
 // caller-initiated close); otherwise it is the first hard error either
@@ -171,10 +174,13 @@ func Bidirectional(ctx context.Context, a, b net.Conn, opts Options) (Result, er
 }
 
 // copyHalf pumps one direction with a pooled buffer until EOF or error.
-// The buffer is always returned to the pool, on every exit path.
+// A read that fills the whole buffer marks the direction as bulk: with no
+// hook, it moves to the kernel splice path (spliceHalf), returning the
+// buffer to the pool first. Everything else stays on the copy loop. The
+// buffer is always returned to the pool, on every exit path.
 func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64, error) {
 	buf := Get(opts.BufferBytes)
-	defer Put(buf)
+	defer func() { Put(buf) }()
 
 	counter := opts.CountAToB
 	if dir == BToA {
@@ -191,6 +197,7 @@ func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64
 		return err
 	}
 	awaitingFirst := opts.OnFirstByte != nil
+	trySplice := opts.Hook == nil
 	for {
 		rn, rerr := src.Read(buf)
 		if rn > 0 {
@@ -220,6 +227,17 @@ func copyHalf(dst, src net.Conn, dir Dir, opts *Options, idle *idleWatch) (int64
 			}
 			return n, rerr
 		}
+		if trySplice && rn == len(buf) {
+			trySplice = false
+			Put(buf)
+			buf = nil
+			sn, handled, err := spliceHalf(dst, src, opts.BufferBytes, counter, idle)
+			n += sn
+			if handled {
+				return n, err
+			}
+			buf = Get(opts.BufferBytes)
+		}
 	}
 }
 
@@ -231,35 +249,6 @@ func firstErr(errs ...error) error {
 			continue
 		}
 		return err
-	}
-	return nil
-}
-
-// WithReader returns a net.Conn that reads from r but otherwise behaves as
-// conn, forwarding TCP half-close to the underlying connection. Callers
-// that buffered bytes during a handshake (relay CONNECT) use it to hand
-// Bidirectional a connection whose reads replay the buffered prefix.
-func WithReader(conn net.Conn, r io.Reader) net.Conn {
-	return &readerConn{Conn: conn, r: r}
-}
-
-type readerConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (c *readerConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-func (c *readerConn) CloseWrite() error {
-	if cw, ok := c.Conn.(closeWriter); ok {
-		return cw.CloseWrite()
-	}
-	return nil
-}
-
-func (c *readerConn) CloseRead() error {
-	if cr, ok := c.Conn.(closeReader); ok {
-		return cr.CloseRead()
 	}
 	return nil
 }

@@ -551,31 +551,3 @@ func TestContextCancel(t *testing.T) {
 		t.Fatal("splice did not finish after context cancel")
 	}
 }
-
-// TestWithReader: the wrapper replays a buffered prefix and still forwards
-// TCP half-close to the underlying connection.
-func TestWithReader(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	wrapped := WithReader(a, io.MultiReader(bytes.NewReader([]byte("prefix-")), a))
-	go func() {
-		_, _ = b.Write([]byte("suffix"))
-		_ = b.Close()
-	}()
-	got, err := io.ReadAll(wrapped)
-	if err != nil && err != io.EOF && err != io.ErrClosedPipe {
-		t.Fatal(err)
-	}
-	if want := "prefix-suffix"; string(got) != want {
-		t.Errorf("read %q, want %q", got, want)
-	}
-	// net.Pipe has no CloseWrite/CloseRead; forwarding must be a no-op,
-	// not a panic.
-	if err := wrapped.(*readerConn).CloseWrite(); err != nil {
-		t.Errorf("CloseWrite on pipe-backed wrapper: %v", err)
-	}
-	if err := wrapped.(*readerConn).CloseRead(); err != nil {
-		t.Errorf("CloseRead on pipe-backed wrapper: %v", err)
-	}
-}

@@ -18,14 +18,15 @@ import (
 )
 
 // classSizes are the pool's buffer size classes: small (frame headers,
-// probe frames), medium (the default copy buffer and multipath segment
-// size), large (the split-TCP relay buffer). Requests above the largest
+// probe frames), medium (the multipath segment size), large (the default
+// copy buffer, the split-TCP relay buffer). Requests above the largest
 // class fall through to plain allocation.
 var classSizes = [...]int{4 << 10, 32 << 10, 256 << 10}
 
 // DefaultBufferBytes is the copy-buffer size Bidirectional uses when the
-// caller does not specify one.
-const DefaultBufferBytes = 32 << 10
+// caller does not specify one: the split-TCP relay buffer every layer
+// shares (relay, gateway, cronetsd's -buffer-kb default).
+const DefaultBufferBytes = 256 << 10
 
 var (
 	// pools[i] holds *[]byte whose cap is exactly classSizes[i].
@@ -39,6 +40,9 @@ var (
 	poolMisses   atomic.Int64
 	poolPuts     atomic.Int64
 	poolDiscards atomic.Int64
+
+	// splices counts directions that moved to the kernel splice path.
+	splices atomic.Int64
 )
 
 // Get returns a buffer of length n, drawn from the smallest size class
@@ -87,11 +91,12 @@ func Put(b []byte) {
 	poolDiscards.Add(1)
 }
 
-// InstrumentPool registers the pool's counters on an obs registry (the
-// pool is process-global, so call this once per exposed registry). A nil
-// registry is a no-op. Gets = hits + misses and returns = puts +
-// discards; a leak-free workload drains to Gets == returns once every
-// buffer is released.
+// InstrumentPool registers the pool's counters, and the count of
+// directions that switched to kernel splice, on an obs registry (both are
+// process-global, so call this once per exposed registry). A nil registry
+// is a no-op. Gets = hits + misses and returns = puts + discards; a
+// leak-free workload drains to Gets == returns once every buffer is
+// released.
 func InstrumentPool(reg *obs.Registry) {
 	reg.CounterFunc("cronets_pipe_pool_hits_total",
 		"Buffer-pool Gets served from a size class.", poolHits.Load)
@@ -101,4 +106,6 @@ func InstrumentPool(reg *obs.Registry) {
 		"Buffers returned to a size class.", poolPuts.Load)
 	reg.CounterFunc("cronets_pipe_pool_discards_total",
 		"Put buffers matching no size class, dropped for the GC.", poolDiscards.Load)
+	reg.CounterFunc("cronets_pipe_splices_total",
+		"Bidirectional directions that moved to kernel splice after a full read.", splices.Load)
 }

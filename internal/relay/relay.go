@@ -46,8 +46,8 @@ type Config struct {
 	// IdleTimeout closes connections with no traffic in either direction
 	// (default 5 min; 0 disables).
 	IdleTimeout time.Duration
-	// BufferBytes sizes each direction's copy buffer (default 256 KiB) —
-	// the relay buffer of a split-TCP proxy.
+	// BufferBytes sizes each direction's copy buffer (default
+	// pipe.DefaultBufferBytes) — the relay buffer of a split-TCP proxy.
 	BufferBytes int
 	// MaxConns caps concurrent relayed connections (default 1024).
 	MaxConns int
@@ -118,9 +118,6 @@ func New(ln net.Listener, cfg Config) *Relay {
 		cfg.IdleTimeout = 0
 	} else if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
-	}
-	if cfg.BufferBytes <= 0 {
-		cfg.BufferBytes = 256 << 10
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
@@ -316,11 +313,13 @@ func (r *Relay) handle(down net.Conn) error {
 		}
 	}
 
-	if br != nil && br.Buffered() > 0 {
-		// Replay the bytes a client pipelined behind its CONNECT line.
-		down = pipe.WithReader(down, io.MultiReader(io.LimitReader(br, int64(br.Buffered())), down))
+	var pipelined []byte
+	if br != nil {
+		// Bytes a client pipelined behind its CONNECT line: at most one
+		// request's worth, still in the preamble reader.
+		pipelined, _ = br.Peek(br.Buffered())
 	}
-	return r.splice(down, up, tc)
+	return r.splice(down, up, tc, pipelined)
 }
 
 // watchAbort watches a CONNECT-mode downstream for the client hanging up
@@ -409,10 +408,12 @@ func transientDialError(err error) bool {
 
 // splice runs the shared data-plane loop over the connection pair: pooled
 // buffers, live byte counters, TCP half-close propagation, and the idle
-// timeout, all from internal/pipe. For sampled flows it records a
-// relay.splice span (bytes, first-byte latency); unsampled flows leave
-// the loop's options exactly as before.
-func (r *Relay) splice(down, up net.Conn, tc flowtrace.Context) error {
+// timeout, all from internal/pipe. pipelined, the bytes a client sent
+// behind its CONNECT line, go upstream first, so the loop reads the raw
+// downstream socket and a bulk flow can move to kernel splice. For
+// sampled flows it records a relay.splice span (bytes, first-byte
+// latency); unsampled flows leave the loop's options exactly as before.
+func (r *Relay) splice(down, up net.Conn, tc flowtrace.Context, pipelined []byte) error {
 	opts := pipe.Options{
 		BufferBytes: r.cfg.BufferBytes,
 		IdleTimeout: r.cfg.IdleTimeout,
@@ -432,8 +433,19 @@ func (r *Relay) splice(down, up net.Conn, tc flowtrace.Context) error {
 			}
 		}
 	}
+	var sent int
+	if len(pipelined) > 0 {
+		var err error
+		sent, err = up.Write(pipelined)
+		r.bytesUp.Add(int64(sent))
+		if err != nil {
+			span.AddBytes(int64(sent))
+			span.End()
+			return fmt.Errorf("relay: forward pipelined bytes: %w", err)
+		}
+	}
 	res, err := pipe.Bidirectional(context.Background(), down, up, opts)
-	span.AddBytes(res.AToB + res.BToA)
+	span.AddBytes(int64(sent) + res.AToB + res.BToA)
 	span.End()
 	return err
 }

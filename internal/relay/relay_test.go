@@ -2,11 +2,13 @@ package relay
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +19,7 @@ import (
 	"cronets/internal/flowtrace"
 	"cronets/internal/leakcheck"
 	"cronets/internal/obs"
+	"cronets/internal/pipe"
 )
 
 // dialVia opens a connection to target through the CONNECT-mode relay at
@@ -360,6 +363,58 @@ func TestConnectModePipelinedData(t *testing.T) {
 	}
 	if string(buf) != "early" {
 		t.Errorf("pipelined data = %q", buf)
+	}
+}
+
+// TestPipelinedFlowCountedAndSpliced: bytes a client pipelines behind its
+// CONNECT line are forwarded ahead of the flow and counted into bytes_up
+// with it, and the downstream socket reaches the data plane unwrapped, so
+// a bulk flow still moves to kernel splice where the platform has it.
+func TestPipelinedFlowCountedAndSpliced(t *testing.T) {
+	const bulk = 16 << 20
+	echo := echoServer(t)
+	reg := obs.NewRegistry()
+	pipe.InstrumentPool(reg)
+	r := startRelay(t, Config{Obs: reg})
+	conn, err := net.Dial("tcp", r.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := fmt.Fprintf(conn, "CONNECT %s\nearly", echo.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	reply := make([]byte, 3)
+	if _, err := io.ReadFull(conn, reply); err != nil || string(reply) != "OK\n" {
+		t.Fatalf("handshake: %q, %v", reply, err)
+	}
+	payload := bytes.Repeat([]byte("0123456789abcdef"), bulk/16)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(payload)
+		if err == nil {
+			err = conn.(*net.TCPConn).CloseWrite()
+		}
+		errc <- err
+	}()
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("early"), payload...); !bytes.Equal(got, want) {
+		t.Fatalf("echo: got %d bytes, want %d byte-exact", len(got), len(want))
+	}
+	up := obs.Label("cronets_relay_bytes_total", "dir", "up")
+	waitFor(t, func() bool { return metric(reg, up) == bulk+5 })
+	if got := metric(reg, up); got != bulk+5 {
+		t.Errorf("%s = %d, want %d", up, got, bulk+5)
+	}
+	if n := metric(reg, "cronets_pipe_splices_total"); runtime.GOOS == "linux" && n == 0 {
+		t.Error("cronets_pipe_splices_total = 0: the pipelined bulk flow never reached kernel splice")
 	}
 }
 

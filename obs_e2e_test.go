@@ -129,7 +129,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	_ = probeConn.Close()
 
-	// Multipath traffic over two in-process subflows, same registry.
+	// Multipath traffic over two in-process subflows, same registry. The
+	// payload is 8 segments and a subflow may hold 8 in flight, so one
+	// writer could drain them all before the other is scheduled: subflow
+	// 0 holds its first write until subflow 1 has written, which makes
+	// "both subflows carry traffic" hold on every run.
 	const mpBytes = 256 << 10
 	var senderConns, receiverConns []net.Conn
 	for i := 0; i < 2; i++ {
@@ -137,6 +141,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		senderConns = append(senderConns, a)
 		receiverConns = append(receiverConns, b)
 	}
+	opened := make(chan struct{})
+	senderConns[0] = &gatedConn{Conn: senderConns[0], open: opened}
+	senderConns[1] = &gatedConn{Conn: senderConns[1], opens: opened}
 	mpCfg := multipath.Config{Obs: reg}
 	sender, err := multipath.NewSender(senderConns, mpCfg)
 	if err != nil {
@@ -230,6 +237,27 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if connects != 2 || dials != 2 {
 		t.Errorf("event ring: connects=%d dials=%d, want 2/2", connects, dials)
 	}
+}
+
+// gatedConn orders the first writes of two connections: writes on a conn
+// with open wait until it is closed, and the first write on a conn with
+// opens closes it.
+type gatedConn struct {
+	net.Conn
+	open  <-chan struct{}
+	opens chan struct{}
+	once  sync.Once
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	if c.open != nil {
+		<-c.open
+	}
+	n, err := c.Conn.Write(p)
+	if c.opens != nil {
+		c.once.Do(func() { close(c.opens) })
+	}
+	return n, err
 }
 
 // TestMetricsEndpointsServeTogether wires the same handlers cronetsd
