@@ -16,8 +16,10 @@
 #                     each once, as CI does
 #   make trace-smoke  flow-tracing gate: the tracing e2e under -race plus
 #                     the unsampled-path zero-allocation check
-#   make bench-smoke  chain gate: the chain failover e2e under -race plus
-#                     the zero-allocation checks on the established-chain
+#   make bench-smoke  chain gate: the chain failover e2e, the pipelined
+#                     chain handshake tests and the relay's pipelined
+#                     hang-up regression under -race, plus the
+#                     zero-allocation checks on the established-chain
 #                     splice and on route-table reads (Best + Ranked)
 #   make perfbench-check  vet and self-test the perfbench module, which
 #                     ./... never reaches (it is a module of its own)
@@ -80,12 +82,17 @@ trace-smoke:
 	$(GO) test -race -run TestFlowTraceEndToEnd .
 	$(GO) test -run TestUnsampledPathAllocs ./internal/flowtrace/
 
-# Fails if chain dial allocates on the established-flow splice path (once
-# the hop-by-hop preamble completes, a chained flow must be the same
+# Fails if the pipelined chain handshake breaks (every hop's line in one
+# write, replies read in hop order, a failure named at its own hop), if a
+# relay misses a client that hangs up with bytes pipelined behind its
+# CONNECT line, if chain dial allocates on the established-flow splice
+# path (once the handshake completes, a chained flow must be the same
 # zero-alloc forwarding as a single hop), or if reading pathmon's published
 # route table allocates (every gateway dial and pool fill reads it).
 bench-smoke:
 	$(GO) test -race -run TestChainFailoverEndToEnd .
+	$(GO) test -race -run 'TestChainPipelinesPreambles|TestChainThirdHopRefused|TestChainHopDiesAfterPriorOK' ./internal/chain/
+	$(GO) test -race -run TestDialRetryAbortsWhenClientHangsUp ./internal/relay/
 	$(GO) test -run TestChainSpliceAllocs ./internal/chain/
 	$(GO) test -run TestRankedReadAllocs ./internal/pathmon/
 

@@ -11,9 +11,9 @@ import (
 )
 
 // benchChainDial measures one full chain dial per iteration — TCP to the
-// first hop plus one CONNECT round trip per hop, verified with a 16-byte
-// echo — so the 1-hop vs 2-hop delta is exactly the incremental cost of
-// one preamble exchange through the established prefix.
+// first hop plus the pipelined CONNECT handshake, verified with a 16-byte
+// echo — so the 1-hop vs 2-hop delta is the incremental cost of one more
+// hop: its upstream dial and its reply through the established prefix.
 func benchChainDial(b *testing.B, nHops int) {
 	echoLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

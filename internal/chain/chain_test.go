@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cronets/internal/flowtrace"
+	"cronets/internal/leakcheck"
 	"cronets/internal/relay"
 )
 
@@ -253,6 +254,128 @@ func TestChainTraceParentage(t *testing.T) {
 	if !strings.Contains(hops[0].Detail, r1) || !strings.Contains(hops[1].Detail, r2) {
 		t.Errorf("hop details %q / %q don't name relays %s / %s",
 			hops[0].Detail, hops[1].Detail, r1, r2)
+	}
+}
+
+func TestChainPipelinesPreambles(t *testing.T) {
+	// A fake first hop takes one read before it answers anything: that
+	// read must already hold every hop's request line, in hop order, each
+	// carrying its own hop's span context.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	first := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 4096)
+		n, _ := c.Read(buf)
+		first <- buf[:n]
+		_, _ = io.WriteString(c, "OK\nOK\nOK\n")
+		_, _ = io.Copy(io.Discard, c)
+	}()
+
+	hops := []string{ln.Addr().String(), "relay-b:1", "relay-c:2"}
+	const dest = "192.0.2.1:9"
+	tracer := flowtrace.New(flowtrace.Config{Node: "client", SampleRate: 1})
+	root := tracer.Start("flow", flowtrace.Context{})
+	ctx := flowtrace.NewGoContext(testCtx(t), root.Context())
+	conn, err := Dial(ctx, hops, dest, Options{Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	spans := map[uint64]*flowtrace.Span{}
+	for _, s := range tracer.Snapshot() {
+		if s.Name == "chain.hop" {
+			spans[s.ID] = s
+		}
+	}
+	lines := strings.SplitAfter(string(<-first), "\n")
+	if len(lines) != 4 || lines[3] != "" {
+		t.Fatalf("first read = %q, want all 3 request lines", lines)
+	}
+	parent := root.ID
+	for i, want := range []string{hops[1], hops[2], dest} {
+		target, tc, err := relay.ParseRequest([]byte(lines[i]))
+		if err != nil || string(target) != want {
+			t.Fatalf("line %d = %q (%v), want a CONNECT to %s", i, lines[i], err, want)
+		}
+		span := spans[tc.Span]
+		if span == nil || span.Parent != parent {
+			t.Fatalf("line %d carries span %d, want hop %d's span under %d", i, tc.Span, i, parent)
+		}
+		parent = span.ID
+	}
+}
+
+func TestChainThirdHopRefused(t *testing.T) {
+	// Hop 2's ACL forbids the destination, while hops 0 and 1 answer OK:
+	// the error names hop 2 with its relay and target, unwraps to
+	// relay.ErrRefused, and leaves neither the socket nor a goroutine
+	// behind.
+	leakcheck.Check(t)
+	acl, err := relay.NewACL([]string{"10.0.0.0/8"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := startRelay(t, relay.Config{})
+	r2 := startRelay(t, relay.Config{})
+	r3 := startRelay(t, relay.Config{ACL: acl})
+	const dest = "192.0.2.1:9"
+	conn, err := net.Dial("tcp", r1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Connect(testCtx(t), conn, []string{r1, r2, r3}, dest, Options{})
+	var he *HopError
+	if !errors.As(err, &he) {
+		t.Fatalf("err = %v, want *HopError", err)
+	}
+	if he.Hop != 2 || he.Relay != r3 || he.Target != dest {
+		t.Errorf("HopError = %+v, want hop 2 at %s -> %s", he, r3, dest)
+	}
+	if !errors.Is(err, relay.ErrRefused) {
+		t.Errorf("err = %v, want to unwrap to relay.ErrRefused", err)
+	}
+	if _, err := conn.Write([]byte("x")); err == nil {
+		t.Error("Connect left the socket open on a hop failure")
+	}
+}
+
+func TestChainHopDiesAfterPriorOK(t *testing.T) {
+	// Hop 0 (a real relay) answers OK; hop 1 accepts the splice and then
+	// dies without a reply. The EOF on reply 1 names hop 1.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		_, _ = bufio.NewReader(c).ReadString('\n')
+		_ = c.Close()
+	}()
+	r1 := startRelay(t, relay.Config{})
+	_, err = Dial(testCtx(t), []string{r1, ln.Addr().String()}, "192.0.2.1:9", Options{})
+	var he *HopError
+	if !errors.As(err, &he) {
+		t.Fatalf("err = %v, want *HopError", err)
+	}
+	if he.Hop != 1 || he.Relay != ln.Addr().String() {
+		t.Errorf("HopError = %+v, want hop 1 at %s", he, ln.Addr())
+	}
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("err = %v, want the EOF of a hop that died", err)
 	}
 }
 

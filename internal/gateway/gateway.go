@@ -296,12 +296,13 @@ func (g *Gateway) Dial(ctx context.Context) (net.Conn, pathmon.Route, error) {
 
 // dialRoute opens one connection over a specific route — the single dial
 // seam for every depth. The zero-hop route is a plain direct dial; any
-// deeper route walks its hop list with one CONNECT per hop (one hop is
-// exactly the classic single-relay path). Overlay routes first try a
-// warm pooled socket to the first hop — sending the CONNECT preamble on
-// an already-open connection skips the TCP-handshake round trip — and
-// cold dial when the pool misses (or a checked-out socket dies mid
-// handshake), so behaviour degrades to exactly the unpooled route.
+// deeper route is a chain handshake, one CONNECT per hop sent in one
+// write (one hop is exactly the classic single-relay path). Overlay
+// routes first try a warm pooled socket to the first hop — sending the
+// CONNECT preamble on an already-open connection skips the TCP-handshake
+// round trip — and cold dial when the pool misses (or a checked-out
+// socket dies mid handshake), so behaviour degrades to exactly the
+// unpooled route.
 func (g *Gateway) dialRoute(ctx context.Context, r pathmon.Route) (conn net.Conn, pooled bool, err error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.DialTimeout)
 	defer cancel()

@@ -437,9 +437,9 @@ func (m *Monitor) burstStaleAfterLocked() time.Duration {
 
 // dialRoute opens one measurement connection over a route — the same
 // seam for every depth: the zero-hop route is a plain direct dial, any
-// deeper route is a chain dial (one CONNECT per hop; one hop is exactly
-// the classic single-relay path). The context's deadline governs every
-// leg.
+// deeper route is a chain dial (one CONNECT per hop, sent in one write;
+// one hop is exactly the classic single-relay path). The context's
+// deadline governs every leg.
 func (m *Monitor) dialRoute(ctx context.Context, r Route) (net.Conn, error) {
 	hops := r.Hops()
 	if len(hops) == 0 {

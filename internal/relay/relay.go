@@ -177,6 +177,13 @@ func (r *Relay) Serve() error {
 			return err
 		}
 		if !claim(slot, limit) {
+			if r.cfg.Target == "" {
+				// A CONNECT client waits for a reply: a typed refusal
+				// tells it the relay is saturated, where a bare close
+				// reads as a dead relay. The few bytes go into a fresh
+				// socket's empty send buffer, so the write cannot block.
+				_ = writeReply(conn, replyOverloaded)
+			}
 			r.group.Untrack(conn)
 			r.overloaded.Inc()
 			continue
@@ -325,7 +332,11 @@ func (r *Relay) handle(down net.Conn) error {
 // watchAbort watches a CONNECT-mode downstream for the client hanging up
 // while the upstream dial (and its retry schedule) is in flight, calling
 // cancel if it does. Peek never consumes: bytes a client pipelines ahead
-// of the OK reply stay buffered for the splice. The returned stop func
+// of the OK reply stay buffered for the splice. It peeks one byte past
+// what is already buffered, since a client that pipelined bytes behind
+// its line (a chain's next hop's line) would otherwise satisfy the peek
+// at once and go unwatched; a full buffer leaves no byte to watch with,
+// and its client counts as alive. The returned stop func
 // unblocks the watcher and waits for it to exit, so the caller regains
 // exclusive use of the connection. In forward mode (nil br) there is
 // nothing to watch and stop is a no-op.
@@ -336,7 +347,8 @@ func (r *Relay) watchAbort(down net.Conn, br *bufio.Reader, cancel context.Cance
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := br.Peek(1); err != nil && !pipe.IsTimeout(err) {
+		_, err := br.Peek(br.Buffered() + 1)
+		if err != nil && !errors.Is(err, bufio.ErrBufferFull) && !pipe.IsTimeout(err) {
 			// EOF / reset: the client is gone. A timeout is stop()
 			// reclaiming the connection, not a hangup.
 			cancel()
@@ -454,26 +466,62 @@ func (r *Relay) splice(down, up net.Conn, tc flowtrace.Context, pipelined []byte
 // already-open connection to a relay, returning the relayed connection —
 // the warm-pool checkout path: a gateway that keeps pre-established relay
 // sockets skips the TCP handshake leg and pays only this one round trip.
-// ctx bounds the whole preamble exchange: its deadline covers both the
-// request write and the reply read, and cancelling it mid-handshake
-// force-expires the socket so the caller returns promptly. ctx also
-// carries the optional trace context (flowtrace.NewGoContext), which is
-// propagated to the relay in the CONNECT preamble so the relay's spans
-// join the trace. On error the connection is closed. The reply is read
-// to its last byte and no further, so the returned connection is conn
-// itself: bytes the relay sends behind its OK and TCP half-close both
-// pass through untouched.
+// It is ConnectChain with one hop: ctx bounds the request write and the
+// reply read, cancelling it mid-handshake force-expires the socket so the
+// caller returns promptly, and the trace context ctx carries
+// (flowtrace.NewGoContext) rides the request so the relay's spans join
+// the trace. On error the connection is closed. The returned connection
+// is conn itself: bytes the relay sends behind its OK and TCP half-close
+// both pass through untouched.
 func Connect(ctx context.Context, conn net.Conn, target string) (net.Conn, error) {
-	err := pipe.Bound(ctx, conn, func() error {
-		req := appendRequest(make([]byte, 0, maxRequestLen), target, flowtrace.FromGoContext(ctx))
-		if _, err := conn.Write(req); err != nil {
-			return fmt.Errorf("relay: send connect: %w", err)
-		}
-		return readReply(conn)
-	})
-	if err != nil {
-		_ = conn.Close()
+	req := [1]Request{{Target: target, Trace: flowtrace.FromGoContext(ctx)}}
+	if _, err := ConnectChain(conn, req[:], func(int) context.Context { return ctx }); err != nil {
 		return nil, err
 	}
 	return conn, nil
+}
+
+// Request is one hop's CONNECT request in a pipelined handshake.
+type Request struct {
+	// Target is what the hop connects to: the next hop's CONNECT
+	// endpoint, or the destination at the last hop.
+	Target string
+	// Trace rides the request line when sampled.
+	Trace flowtrace.Context
+}
+
+// ConnectChain runs the client half of a pipelined CONNECT handshake on
+// conn, an open socket to the first relay of a chain: request i goes to
+// hop i. Every request line goes out in one Write. A relay forwards the
+// bytes behind its own line once its upstream dial completes, so hop
+// i+1's line reaches hop i+1 as soon as hop i's dial to it completes,
+// with no wait for the client to hear hop i's OK. The replies then come
+// back in hop order over the same socket, each read to its last byte and
+// no further, so after the last OK conn is the relayed connection itself.
+//
+// hop(i) is called as reply i's read begins and returns the context that
+// bounds that read (and, for hop 0, the write): its deadline and
+// cancellation apply as in Connect. ConnectChain returns the number of
+// hops that answered OK; on error that is the index of the failing hop,
+// and conn is closed.
+func ConnectChain(conn net.Conn, reqs []Request, hop func(i int) context.Context) (int, error) {
+	req := make([]byte, 0, len(reqs)*maxRequestLen)
+	for _, r := range reqs {
+		req = appendRequest(req, r.Target, r.Trace)
+	}
+	for i := range reqs {
+		err := pipe.Bound(hop(i), conn, func() error {
+			if i == 0 {
+				if _, err := conn.Write(req); err != nil {
+					return fmt.Errorf("relay: send connect: %w", err)
+				}
+			}
+			return readReply(conn)
+		})
+		if err != nil {
+			_ = conn.Close()
+			return i, err
+		}
+	}
+	return len(reqs), nil
 }

@@ -636,33 +636,71 @@ func TestDialRetryBackoffAbortsOnClose(t *testing.T) {
 // TestDialRetryAbortsWhenClientHangsUp (regression): a client that gives
 // up mid-retry-schedule must release the relay goroutine and its MaxConns
 // slot immediately, not after the remaining backoff (several seconds
-// here).
+// here). The pipelined case is a client with bytes behind its CONNECT
+// line — a chain's next hop's line, at a middle hop: before its fix, the
+// abort watcher's one-byte peek returned at once on the buffered line, so
+// that hangup went unwatched and the retry schedule kept the slot.
 func TestDialRetryAbortsWhenClientHangsUp(t *testing.T) {
-	d := &refuseDialer{}
-	r := startRelay(t, Config{
-		Dialer:           d,
-		DialRetries:      1000,
-		DialRetryBackoff: 300 * time.Millisecond,
-	})
+	for _, tt := range []struct{ name, preamble string }{
+		{"single", "CONNECT 127.0.0.1:1\n"},
+		{"pipelined", "CONNECT 127.0.0.1:1\nCONNECT 127.0.0.1:2\n"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			d := &refuseDialer{}
+			r := startRelay(t, Config{
+				Dialer:           d,
+				DialRetries:      1000,
+				DialRetryBackoff: 300 * time.Millisecond,
+			})
 
-	conn, err := net.Dial("tcp", r.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(conn, "CONNECT 127.0.0.1:1\n"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_active") == 1 })
-	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_dial_retries_total") >= 1 })
+			conn, err := net.Dial("tcp", r.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.WriteString(conn, tt.preamble); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_active") == 1 })
+			waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_dial_retries_total") >= 1 })
 
-	// Hang up. The abort watcher must cancel the dial context and the
-	// handler must release its slot well inside waitFor's 5 s budget.
-	_ = conn.Close()
-	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_active") == 0 })
-	attempts := d.calls.Load()
-	time.Sleep(50 * time.Millisecond)
-	if got := d.calls.Load(); got != attempts {
-		t.Errorf("dial attempts kept coming after the client hung up: %d -> %d", attempts, got)
+			// Hang up. The abort watcher must cancel the dial context and the
+			// handler must release its slot well inside waitFor's 5 s budget.
+			_ = conn.Close()
+			waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_active") == 0 })
+			attempts := d.calls.Load()
+			time.Sleep(50 * time.Millisecond)
+			if got := d.calls.Load(); got != attempts {
+				t.Errorf("dial attempts kept coming after the client hung up: %d -> %d", attempts, got)
+			}
+		})
+	}
+}
+
+// TestPendingCapShedRefuses: a CONNECT-mode socket shed at the pending
+// cap gets the typed ERR overloaded line before the close, so the client
+// sees a refusal (ErrRefused), not a bare EOF.
+func TestPendingCapShedRefuses(t *testing.T) {
+	echo := echoServer(t)
+	r := startRelay(t, Config{MaxConns: 1})
+	// Two idle pre-CONNECT sockets fill the 2×MaxConns pending cap.
+	for i := 0; i < 2; i++ {
+		idle, err := net.Dial("tcp", r.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idle.Close()
+	}
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_accepted_total") == 2 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := dialVia(ctx, r.Addr().String(), echo.Addr().String())
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "overloaded") {
+		t.Fatalf("err = %v, want an ERR overloaded refusal (ErrRefused)", err)
+	}
+	waitFor(t, func() bool { return metric(r.cfg.Obs, "cronets_relay_overloaded_total") == 1 })
+	if got := metric(r.cfg.Obs, "cronets_relay_accepted_total"); got != 2 {
+		t.Errorf("accepted = %d, want 2 (the shed socket is not admitted)", got)
 	}
 }
 

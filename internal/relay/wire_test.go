@@ -235,3 +235,38 @@ func FuzzReadReply(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadReplies: a pipelined chain reads its replies with successive
+// readReply calls on one stream. Each OK consumes exactly its 3 bytes,
+// so reply i starts at byte 3i, and the first reply that is not OK is
+// reported at its own index, never at a later one.
+func FuzzReadReplies(f *testing.F) {
+	f.Add([]byte("OK\nOK\nOK\nOK\n"))
+	f.Add([]byte("OK\nERR forbidden\nOK\n"))
+	f.Add([]byte("OK\nOK\nERR dial failed\n"))
+	f.Add([]byte("OK\nOK"))
+	f.Add([]byte("OK\nOK\r\nOK\n"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		const hops = 4
+		want := 0 // index of the first reply that is not OK
+		for want < hops && bytes.HasPrefix(b[min(3*want, len(b)):], []byte(replyOK)) {
+			want++
+		}
+		for _, r := range []io.Reader{bytes.NewReader(b), iotest.OneByteReader(bytes.NewReader(b))} {
+			cr := &countReader{r: r}
+			got := 0
+			for ; got < hops; got++ {
+				before := cr.n
+				if err := readReply(cr); err != nil {
+					break
+				}
+				if cr.n-before != len(replyOK) {
+					t.Fatalf("reply %d of %q: OK consumed %d bytes, want %d", got, b, cr.n-before, len(replyOK))
+				}
+			}
+			if got != want {
+				t.Fatalf("replies %q: first failure at %d, want %d", b, got, want)
+			}
+		}
+	})
+}
